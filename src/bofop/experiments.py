@@ -25,6 +25,7 @@ from .operators import (
     SYMMETRIC_AVERAGE,
     GeneratorSpec,
     _EXPR_NAMES,
+    _check_kernel_ast,
     bofop_from_graph_dict,
     generate,
     generate_graph_dict,
@@ -297,7 +298,8 @@ def _batch_edge_probabilities(expr, latents):
     env["u"] = latents[:, :, None]
     env["v"] = latents[:, None, :]
     try:
-        out = eval(expr, env)  # restricted names only; config-supplied formula
+        _check_kernel_ast(expr)
+        out = eval(expr, env)  # the walk above pinned the grammar
     except Exception as exc:
         raise ValueError(f"invalid kernel expression {expr!r}: {exc}") from exc
     count, n = latents.shape

@@ -1,7 +1,10 @@
 """Discrete measures, exact unbalanced optimal transport, Hausdorff set distance.
 
-Everything here is a finitely supported nonnegative measure on R^m. The
-transport solver is an exact LP (HiGHS); no entropic approximation anywhere.
+Everything here is a finitely supported nonnegative measure on R^m. The one
+transport entry point is transport_cost(a, b, cost): weights and a cost
+matrix in, the exact unbalanced value out, solved by a transportation simplex
+with no entropic approximation and no tolerance on masses. ot_unbalanced
+builds the cost matrix from atom coordinates and calls it.
 """
 
 from __future__ import annotations
@@ -10,8 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
 TOL = 1e-9
@@ -19,7 +20,6 @@ MERGE_TOL = 1e-12
 
 L1 = "l1"
 L2 = "l2"
-RECURSIVE = "recursive"
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,119 +147,243 @@ def measures_equal(mu: DiscreteMeasure, nu: DiscreteMeasure, weight_tol=TOL) -> 
 
 @dataclass(frozen=True, eq=False)
 class GroundMetric:
-    """Ground cost between atoms: L1, L2, or an explicit positional cost matrix.
-
-    A RECURSIVE matrix is tied to one ordered pair of measures: entry [i, j]
-    is the cost between atom i of the first and atom j of the second. Atom
-    coordinates are ignored in that case (they may be opaque class indices).
-    """
+    """Ground cost between atom coordinates: L1 or L2."""
 
     kind: str
-    matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (L1, L2, RECURSIVE):
+        if self.kind not in (L1, L2):
             raise ValueError(f"unknown ground metric kind {self.kind!r}")
-        if self.kind == RECURSIVE:
-            if self.matrix is None:
-                raise ValueError("RECURSIVE ground needs a cost matrix")
-            m = np.array(self.matrix, dtype=float)
-            if m.ndim != 2:
-                raise ValueError("cost matrix must be 2-dimensional")
-            if not np.all(np.isfinite(m)) or np.any(m < 0):
-                raise ValueError("cost matrix entries must be finite and nonnegative")
-            m.flags.writeable = False
-            object.__setattr__(self, "matrix", m)
-        elif self.matrix is not None:
-            raise ValueError("only RECURSIVE ground carries a matrix")
 
     def pairwise(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.kind == L1:
-            return cdist(x, y, metric="cityblock")
-        if self.kind == L2:
-            return cdist(x, y, metric="euclidean")
-        if self.matrix.shape != (x.shape[0], y.shape[0]):
-            raise ValueError(
-                f"cost matrix shape {self.matrix.shape} does not match "
-                f"atom counts ({x.shape[0]}, {y.shape[0]})"
-            )
-        return self.matrix
+        return cdist(x, y, metric="cityblock" if self.kind == L1 else "euclidean")
 
 
 GROUND_L1 = GroundMetric(L1)
 GROUND_L2 = GroundMetric(L2)
 
-
-def _greedy_single_source(mass, cost_row, capacities):
-    # one source atom with equality marginal: fill the cheapest targets first
-    order = np.argsort(cost_row, kind="stable")
-    remaining = mass
-    total = 0.0
-    for j in order:
-        if remaining <= 0.0:
-            break
-        ship = min(remaining, capacities[j])
-        total += ship * cost_row[j]
-        remaining -= ship
-    return total
+# optimality: every reduced cost >= -_REDUCED_COST_RTOL * max cost
+_REDUCED_COST_RTOL = 1e-13
+# pivots allowed per basic cell (m + n - 1 of them) before the solve gives up
+_PIVOTS_PER_BASIC_CELL = 50
 
 
-def _transport_lp(a, b, cost):
-    """Balanced transportation LP with equality marginals, exact HiGHS solve."""
+def _check_transport_input(a, b, cost):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    for w in (a, b):
+        if w.ndim != 1:
+            raise ValueError(f"weights must be 1-dimensional, got shape {w.shape}")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValueError("weights must be finite and nonnegative")
+    if cost.shape != (a.shape[0], b.shape[0]):
+        raise ValueError(
+            f"cost matrix shape {cost.shape} does not match the weight "
+            f"lengths ({a.shape[0]}, {b.shape[0]})"
+        )
+    if not np.all(np.isfinite(cost)) or np.any(cost < 0):
+        raise ValueError("cost matrix entries must be finite and nonnegative")
+    return a, b, cost
+
+
+def _balanced_problem(a, b, cost):
+    """The balanced problem behind transport_cost, for two nonzero masses.
+
+    Zero weights are dropped, the lighter side becomes the rows, and a
+    zero-cost virtual row carries the mass gap. The row and column totals
+    agree up to rounding in the last bits.
+    """
+    mass_a = float(a.sum())
+    mass_b = float(b.sum())
+    if mass_a > mass_b:
+        a, b, cost = b, a, cost.T
+        mass_a, mass_b = mass_b, mass_a
+    keep_a = a > 0.0
+    keep_b = b > 0.0
+    a = a[keep_a]
+    b = b[keep_b]
+    cost = cost[np.ix_(keep_a, keep_b)]
+    gap = mass_b - mass_a
+    if gap > 0.0:
+        a = np.append(a, gap)
+        cost = np.vstack([cost, np.zeros((1, b.shape[0]))])
+    return a, b, cost
+
+
+def _least_cost_basis(a, b, cost):
+    """Strongly feasible initial basis of m + n - 1 cells by the least-cost rule.
+
+    Cells are visited by increasing cost, ties in row-major order. Each cell
+    ships what its row and column still hold and retires exactly one of the
+    two, except the last, which retires both; so the cells form a spanning
+    tree even when the totals differ in the last bits. Which one retires is
+    decided on the perturbed problem in which every row supplies an extra
+    epsilon and the last column takes all of them in: amounts are pairs
+    (mass, epsilon count) compared lexicographically. A basis feasible for
+    that problem is strongly feasible for the root at the last column: a
+    tree cell with zero flow always has its row below its column.
+    """
     m, n = cost.shape
-    row_marg = sparse.kron(sparse.eye(m, format="csr"), np.ones((1, n)), format="csr")
-    col_marg = sparse.kron(np.ones((1, m)), sparse.eye(n, format="csr"), format="csr")
-    a_eq = sparse.vstack([row_marg, col_marg], format="csr")
-    b_eq = np.concatenate([a, b])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return max(float(res.fun), 0.0)
+    supply = [(x, 1) for x in a.tolist()]
+    demand = [(x, 0) for x in b.tolist()]
+    demand[-1] = (demand[-1][0], m)
+    row_open = [True] * m
+    col_open = [True] * n
+    rows_left, cols_left = m, n
+    rows, cols, flows = [], [], []
+    for k in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(k, n)
+        if not (row_open[i] and col_open[j]):
+            continue
+        s, d = supply[i], demand[j]
+        x = min(s[0], d[0])
+        rows.append(i)
+        cols.append(j)
+        flows.append(x)
+        if rows_left == 1 and cols_left == 1:
+            break
+        if cols_left == 1 or (rows_left > 1 and s <= d):
+            row_open[i] = False
+            rows_left -= 1
+            demand[j] = (d[0] - x, d[1] - s[1])
+        else:
+            col_open[j] = False
+            cols_left -= 1
+            supply[i] = (s[0] - x, s[1] - d[1])
+    return rows, cols, flows
+
+
+def _transport_simplex(a, b, cost):
+    """Exact transportation simplex for a balanced problem with positive weights.
+
+    Returns the basic cells (rows, cols), their flows, and the row and column
+    potentials u, v with u[i] + v[j] == cost[i, j] on every basic cell and
+    cost - u[:, None] - v[None, :] >= -_REDUCED_COST_RTOL * cost.max()
+    everywhere. Flows stay nonnegative exactly: a pivot subtracts the step
+    from the donor cells, whose minimum is the step, so no tolerance on
+    masses is needed and tiny weights stay exact.
+
+    The entering cell has the most negative reduced cost, the first in
+    row-major order on ties. The leaving cell keeps the tree strongly
+    feasible (Cunningham 1976): of the donors that reach zero, the last one
+    met when the cycle is walked from its apex in the direction of the
+    entering cell. Strongly feasible trees cannot cycle, so degenerate
+    pivots end; a pivot bound still guards the loop and raises RuntimeError.
+    """
+    m, n = cost.shape
+    c = cost.tolist()
+    rows, cols, flows = _least_cost_basis(a, b, cost)
+    # tree nodes: rows are 0..m-1, columns m..m+n-1; the root is the last column
+    root = m + n - 1
+    incident = [[] for _ in range(m + n)]
+    for e in range(len(rows)):
+        incident[rows[e]].append(e)
+        incident[m + cols[e]].append(e)
+    tol = _REDUCED_COST_RTOL * float(cost.max())
+    max_pivots = _PIVOTS_PER_BASIC_CELL * (m + n - 1)
+    pivots = 0
+    while True:
+        # potentials, parent links and depths by a walk from the root
+        pot = [0.0] * (m + n)
+        up_edge = [-1] * (m + n)
+        up_node = [-1] * (m + n)
+        depth = [0] * (m + n)
+        order = [root]
+        for node in order:
+            for e in incident[node]:
+                if e == up_edge[node]:
+                    continue
+                child = m + cols[e] if node < m else rows[e]
+                pot[child] = c[rows[e]][cols[e]] - pot[node]
+                up_edge[child] = e
+                up_node[child] = node
+                depth[child] = depth[node] + 1
+                order.append(child)
+        u = np.array(pot[:m])
+        v = np.array(pot[m:])
+        reduced = cost - u[:, None] - v[None, :]
+        k = int(reduced.argmin())
+        if reduced.flat[k] >= -tol:
+            break
+        if pivots == max_pivots:
+            raise RuntimeError(
+                f"transport simplex did not converge within {max_pivots} pivots "
+                f"on a {m}x{n} problem"
+            )
+        pivots += 1
+        p, q = divmod(k, n)
+        # the cycle closes the tree path between row p and column q; edges at
+        # an even distance from either end give mass, odd ones receive it.
+        # path_p runs from p up to the apex, path_q from q up to the apex.
+        x, y = p, m + q
+        path_p, path_q = [], []
+        while depth[x] > depth[y]:
+            path_p.append(up_edge[x])
+            x = up_node[x]
+        while depth[y] > depth[x]:
+            path_q.append(up_edge[y])
+            y = up_node[y]
+        while x != y:
+            path_p.append(up_edge[x])
+            x = up_node[x]
+            path_q.append(up_edge[y])
+            y = up_node[y]
+        step = min(flows[e] for e in path_p[0::2] + path_q[0::2])
+        # walking apex -> p -> q -> apex, the last donor at zero is the
+        # blocking one nearest the apex on q's side, else nearest p
+        blocking = [e for e in path_q[0::2] if flows[e] == step]
+        if blocking:
+            leave = blocking[-1]
+        else:
+            leave = next(e for e in path_p[0::2] if flows[e] == step)
+        for e in path_p[0::2] + path_q[0::2]:
+            flows[e] -= step
+        for e in path_p[1::2] + path_q[1::2]:
+            flows[e] += step
+        incident[rows[leave]].remove(leave)
+        incident[m + cols[leave]].remove(leave)
+        rows[leave], cols[leave], flows[leave] = p, q, step
+        incident[p].append(leave)
+        incident[m + q].append(leave)
+    return np.array(rows), np.array(cols), np.array(flows), u, v
+
+
+def transport_cost(a, b, cost) -> float:
+    """Exact unbalanced transport value between weight vectors a and b.
+
+    cost[i, j] is the ground cost from atom i of a to atom j of b. The
+    lighter side ships its full mass as a sub-coupling of the heavier one,
+    and the mass difference |sum(a) - sum(b)| is added as a penalty; the
+    value is symmetric under swapping a and b with cost transposed. Solved
+    by an exact transportation simplex: ValueError on malformed input,
+    RuntimeError if the solve does not converge, never a partial value.
+    """
+    a, b, cost = _check_transport_input(a, b, cost)
+    mass_a = float(a.sum())
+    mass_b = float(b.sum())
+    penalty = abs(mass_a - mass_b)
+    if mass_a == 0.0 or mass_b == 0.0:
+        return penalty
+    supply, demand, balanced = _balanced_problem(a, b, cost)
+    rows, cols, flows, _, _ = _transport_simplex(supply, demand, balanced)
+    return float(flows @ balanced[rows, cols]) + penalty
 
 
 def ot_unbalanced(mu: DiscreteMeasure, nu: DiscreteMeasure, ground: GroundMetric) -> float:
-    """Unbalanced transport cost: ship the lighter measure's full mass as a
-    sub-coupling of the heavier one, plus the mass-difference penalty.
+    """Unbalanced transport cost between two measures under a coordinate ground
+    metric: transport_cost of their weights under the pairwise atom costs.
 
-    Exact LP value. The definition assumes the first argument is lighter;
-    arguments are swapped internally when it is not, which preserves the value.
+    Measures equal up to representation (measures_equal at MERGE_TOL) need no
+    transport and give exactly the mass gap, so atoms that differ only by
+    rounding never leave a residue.
     """
-    if ground.kind != RECURSIVE and mu.ambient_dim != nu.ambient_dim:
+    if mu.ambient_dim != nu.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    penalty = abs(mu.total_mass - nu.total_mass)
-    if mu.total_mass == 0.0 or nu.total_mass == 0.0:
-        return penalty
-    cost = ground.pairwise(mu.atoms, nu.atoms)
-    if mu.total_mass > nu.total_mass:
-        mu, nu = nu, mu
-        cost = cost.T
-    # identical measures need no transport (positional identity for RECURSIVE,
-    # where reordering would break the cost matrix's index correspondence)
-    if ground.kind == RECURSIVE:
-        if (
-            cost.shape[0] == cost.shape[1]
-            and mu.n_atoms == nu.n_atoms
-            and np.max(np.abs(np.diag(cost))) <= MERGE_TOL
-            and np.all(np.abs(mu.weights - nu.weights) <= MERGE_TOL)
-            and np.all(np.abs(mu.atoms - nu.atoms) <= MERGE_TOL)
-        ):
-            return penalty
-    elif measures_equal(mu, nu, weight_tol=MERGE_TOL):
-        return penalty
-    keep_mu = mu.weights > 0.0
-    keep_nu = nu.weights > 0.0
-    a = mu.weights[keep_mu]
-    b = nu.weights[keep_nu]
-    cost = cost[np.ix_(keep_mu, keep_nu)]
-    if a.shape[0] == 1:
-        return _greedy_single_source(a[0], cost[0], b) + penalty
-    if b.shape[0] == 1:
-        return float(a @ cost[:, 0]) + penalty
-    gap = nu.total_mass - mu.total_mass
-    if gap > 0.0:
-        cost = np.vstack([cost, np.zeros((1, b.shape[0]))])
-        a = np.concatenate([a, [gap]])
-    return _transport_lp(a, b, cost) + penalty
+    lighter, heavier = (nu, mu) if mu.total_mass > nu.total_mass else (mu, nu)
+    if measures_equal(lighter, heavier, weight_tol=MERGE_TOL):
+        return abs(mu.total_mass - nu.total_mass)
+    return transport_cost(mu.weights, nu.weights, ground.pairwise(mu.atoms, nu.atoms))
 
 
 def kr_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, test_fn) -> float:
@@ -301,15 +425,13 @@ def hausdorff_set_distance(set_a, set_b, ground: GroundMetric) -> float:
     """Hausdorff distance between two finite sets of measures under transport cost.
 
     Exact max-of-min over the finite sets. Inner minima are scanned in order
-    of a cheap transport lower bound so most LP solves are pruned; pruning
+    of a cheap transport lower bound so most transport solves are pruned; pruning
     never changes the value.
     """
     set_a = list(set_a)
     set_b = list(set_b)
     if not set_a or not set_b:
         raise ValueError("both sets must be nonempty")
-    if ground.kind == RECURSIVE:
-        raise ValueError("set distance needs a coordinate ground metric, not a matrix")
     dims = {m.ambient_dim for m in set_a} | {m.ambient_dim for m in set_b}
     if len(dims) != 1:
         raise ValueError("all measures must share the ambient dimension")

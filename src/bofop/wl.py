@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import RECURSIVE, DiscreteMeasure, GroundMetric, ot_unbalanced
+from .measures import transport_cost
 from .operators import FiniteBofopSignal
 
 STRUCT_TOL = 1e-12
@@ -169,9 +169,7 @@ def _ot_between_idm_measures(ma: IdmMeasure, mb: IdmMeasure, memo) -> float:
     cost = np.array(
         [[_distance_memo(x, y, memo) for y in mb.atoms] for x in ma.atoms]
     )
-    mu = DiscreteMeasure(1, np.arange(len(ma.atoms), dtype=float).reshape(-1, 1), ma.weights)
-    nu = DiscreteMeasure(1, np.arange(len(mb.atoms), dtype=float).reshape(-1, 1), mb.weights)
-    return ot_unbalanced(mu, nu, GroundMetric(RECURSIVE, cost))
+    return transport_cost(ma.weights, mb.weights, cost)
 
 
 def _distance_memo(a: IdmTree, b: IdmTree, memo) -> float:
@@ -222,9 +220,7 @@ def didm_movers_distance(b1: FiniteBofopSignal, b2: FiniteBofopSignal, depth: in
     c2 = list(h2)
     memo = {}
     cost = np.array([[_distance_memo(x, y, memo) for y in c2] for x in c1])
-    mu = DiscreteMeasure(1, np.arange(len(c1), dtype=float).reshape(-1, 1), [h1[t] for t in c1])
-    nu = DiscreteMeasure(1, np.arange(len(c2), dtype=float).reshape(-1, 1), [h2[t] for t in c2])
-    return ot_unbalanced(mu, nu, GroundMetric(RECURSIVE, cost))
+    return transport_cost([h1[t] for t in c1], [h2[t] for t in c2], cost)
 
 
 # ---------------------------------------------------------------- refinement ids

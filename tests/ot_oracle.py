@@ -5,7 +5,7 @@ exactly the feasible spanning-tree solutions on the complete bipartite
 support graph, so the exact optimum is the cheapest feasible tree. Unbalanced
 inputs get the same virtual-source augmentation the definition forces (free
 row absorbing the mass gap) and the constant mass penalty; the solver here is
-pure enumeration, nothing is shared with the package's LP path.
+pure enumeration, nothing is shared with the package's transport simplex.
 
 Only for tiny instances: the loop visits C(m*n, m+n-1) subsets.
 """
@@ -20,11 +20,9 @@ def _cost_matrix(mu, nu, ground):
         return [
             [float(np.abs(x - y).sum()) for y in nu.atoms] for x in mu.atoms
         ]
-    if ground.kind == "l2":
-        return [
-            [float(np.sqrt(((x - y) ** 2).sum())) for y in nu.atoms] for x in mu.atoms
-        ]
-    return [[float(ground.matrix[i, j]) for j in range(nu.n_atoms)] for i in range(mu.n_atoms)]
+    return [
+        [float(np.sqrt(((x - y) ** 2).sum())) for y in nu.atoms] for x in mu.atoms
+    ]
 
 
 def _tree_flow(edges, supply_rows, supply_cols):
@@ -98,18 +96,21 @@ def enumerate_tree_costs(a, b, cost):
     return best, n_trees
 
 
-def ot_oracle(mu, nu, ground):
-    """Exact unbalanced transport value by polytope-vertex enumeration."""
-    penalty = abs(mu.total_mass - nu.total_mass)
-    if mu.total_mass == 0.0 or nu.total_mass == 0.0:
+def transport_oracle(a, b, cost):
+    """Exact unbalanced transport value of weights a, b under cost[i][j],
+    by polytope-vertex enumeration."""
+    a = [float(w) for w in a]
+    b = [float(w) for w in b]
+    cost = [[float(c) for c in row] for row in cost]
+    mass_a = float(np.sum(a))
+    mass_b = float(np.sum(b))
+    penalty = abs(mass_a - mass_b)
+    if mass_a == 0.0 or mass_b == 0.0:
         return penalty
-    cost = _cost_matrix(mu, nu, ground)
-    if mu.total_mass > nu.total_mass:
-        mu, nu = nu, mu
+    if mass_a > mass_b:
+        a, b, mass_a, mass_b = b, a, mass_b, mass_a
         cost = [list(row) for row in zip(*cost)]
-    a = [float(w) for w in mu.weights]
-    b = [float(w) for w in nu.weights]
-    gap = nu.total_mass - mu.total_mass
+    gap = mass_b - mass_a
     if gap > 0.0:
         a.append(gap)
         cost.append([0.0] * len(b))
@@ -117,3 +118,8 @@ def ot_oracle(mu, nu, ground):
     if best is None:
         raise RuntimeError("no feasible vertex found for a balanced instance")
     return best + penalty
+
+
+def ot_oracle(mu, nu, ground):
+    """Exact unbalanced transport value of two measures under an L1 or L2 ground."""
+    return transport_oracle(mu.weights, nu.weights, _cost_matrix(mu, nu, ground))

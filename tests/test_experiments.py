@@ -3,7 +3,9 @@ import pathlib
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from bofop.cli import main as cli_main
 from bofop.experiments import (
     CONTINUITY,
     CONVERGENCE,
@@ -29,6 +31,7 @@ from bofop.experiments import (
 from bofop.mpnn import model_to_dict, random_model
 from bofop.operators import (
     ERDOS_RENYI,
+    GRAPHON_SAMPLE,
     NORMALIZED_SUM,
     SUM,
     SYMMETRIC_AVERAGE,
@@ -129,6 +132,38 @@ def test_batch_signals_graphon_and_errors():
         )
     with pytest.raises(ValueError, match="uniform vertex weights"):
         batch_signals({**ER_DENSE, "vertex_weights": [1.0] * 8}, 2, rng)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "0.5 + 0 * (().__class__.__mro__[1].__subclasses__().__len__())",
+        "0 * u[0] + 0.5",
+        "(lambda x: 0 * x + 0.5)(u)",
+        "'0.5'",
+        "(0 * u + 0.5).clip(0, 1)",
+    ],
+    ids=["attribute chain", "subscript", "lambda", "string constant", "call outside whitelist"],
+)
+def test_every_path_rejects_disallowed_kernel_expressions(expr, tmp_path):
+    gen = {"kind": "graphon_sample", "params": {"n": 4, "kernel_expr": expr},
+           "aggregation": "normalized_sum"}
+    with pytest.raises(ValueError, match="invalid kernel expression"):
+        generate(GeneratorSpec(GRAPHON_SAMPLE, gen["params"]))
+    with pytest.raises(ValueError, match="invalid kernel expression"):
+        batch_signals(gen, 2, np.random.default_rng(0))
+    cfg = ExperimentConfig(
+        kind=GENERALIZATION, generators=(gen, ER_DENSE), sizes=(4,),
+        models=(zero_model_dict(),), labels=(1.0, -1.0),
+        seeds=(0,), decay_reps=1, hoeffding_n=4, hoeffding_reps=1,
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    result = CliRunner().invoke(
+        cli_main, ["experiment", "run", "--config", str(path), "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 1
+    assert "invalid kernel expression" in result.output
 
 
 # -------------------------------------------------------------------- runners

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import bofop.measures as measures_module
+
 from bofop.measures import (
     GROUND_L1,
     GROUND_L2,
-    RECURSIVE,
     DiscreteMeasure,
     GroundMetric,
     canonicalize,
@@ -17,8 +18,9 @@ from bofop.measures import (
     measures_equal,
     ot_unbalanced,
     pushforward_measure,
+    transport_cost,
 )
-from ot_oracle import enumerate_tree_costs, ot_oracle
+from ot_oracle import enumerate_tree_costs, ot_oracle, transport_oracle
 
 TOL = 1e-9
 
@@ -120,16 +122,18 @@ def test_ot_matches_vertex_enumeration():
         )
 
 
-def test_ot_matches_vertex_enumeration_recursive_ground():
+def test_transport_cost_matches_vertex_enumeration():
     rng = np.random.default_rng(11)
     for _ in range(15):
         m = int(rng.integers(1, 5))
         n = int(rng.integers(1, 5))
-        mu = DiscreteMeasure(1, rng.uniform(-1, 1, (m, 1)), rng.uniform(0.1, 2, m))
-        nu = DiscreteMeasure(1, rng.uniform(-1, 1, (n, 1)), rng.uniform(0.1, 2, n))
-        ground = GroundMetric(RECURSIVE, rng.uniform(0, 4, (m, n)))
-        assert ot_unbalanced(mu, nu, ground) == pytest.approx(
-            ot_oracle(mu, nu, ground), abs=TOL
+        rng.uniform(-1, 1, (m, 1))  # atom draws kept so the instances stay the same
+        a = rng.uniform(0.1, 2, m)
+        rng.uniform(-1, 1, (n, 1))
+        b = rng.uniform(0.1, 2, n)
+        cost = rng.uniform(0, 4, (m, n))
+        assert transport_cost(a, b, cost) == pytest.approx(
+            transport_oracle(a, b, cost), abs=TOL
         )
 
 
@@ -147,14 +151,11 @@ def test_shortcut_paths_match_enumeration():
     mu = DiscreteMeasure(1, [[1.0], [0.0], [1.0]], [0.25, 1.0, 0.75])
     nu = DiscreteMeasure(1, [[0.0], [1.0]], [1.0, 1.0])
     assert ot_unbalanced(mu, nu, GROUND_L1) == pytest.approx(0.0, abs=TOL)
-    # positionally equal measures under a zero-diagonal cost matrix
-    atoms = [[0.0], [1.0], [2.0]]
+    # equal weights under a zero-diagonal cost matrix
     w = [0.5, 0.3, 0.2]
     mat = rng.uniform(0.5, 2, (3, 3))
     np.fill_diagonal(mat, 0.0)
-    same = DiscreteMeasure(1, atoms, w)
-    ground = GroundMetric(RECURSIVE, mat)
-    assert ot_unbalanced(same, DiscreteMeasure(1, atoms, w), ground) == 0.0
+    assert transport_cost(w, list(w), mat) == 0.0
 
 
 def test_zero_mass_cases():
@@ -216,16 +217,51 @@ def test_ot_rejects_dimension_mismatch():
         ot_unbalanced(dirac([0.0]), dirac([0.0, 0.0]), GROUND_L1)
 
 
-def test_recursive_ground_validation():
+def test_transport_cost_validation():
     with pytest.raises(ValueError):
-        GroundMetric(RECURSIVE)
+        transport_cost([1.0], [1.0], None)
     with pytest.raises(ValueError):
-        GroundMetric(RECURSIVE, np.array([[-1.0]]))
+        transport_cost([1.0], [1.0], np.array([[-1.0]]))
     with pytest.raises(ValueError):
-        GroundMetric("l1", np.eye(2))
-    ground = GroundMetric(RECURSIVE, np.ones((2, 3)))
+        GroundMetric("recursive")
     with pytest.raises(ValueError):
-        ot_unbalanced(dirac([0.0]), dirac([1.0]), ground)
+        transport_cost([1.0], [1.0], np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "a, b, cost",
+    [
+        ([np.nan, 1.0], [1.0], [[1.0], [1.0]]),
+        ([np.inf, 1.0], [1.0], [[1.0], [1.0]]),
+        ([0.5, -0.1], [1.0], [[1.0], [1.0]]),
+        ([1.0], [1.0, -1e-300], [[1.0, 1.0]]),
+        ([[1.0]], [1.0], [[1.0]]),
+        ([1.0], [1.0], [[np.nan]]),
+        ([1.0], [1.0], [[np.inf]]),
+        ([1.0], [1.0], [[-1e-12]]),
+        ([1.0, 1.0], [1.0], [[1.0, 1.0]]),
+        ([1.0], [1.0], [1.0]),
+        ([], [], [[0.0]]),
+    ],
+    ids=[
+        "nan weight", "inf weight", "negative weight", "negative tiny weight",
+        "2-d weights", "nan cost", "inf cost", "negative cost",
+        "transposed cost", "1-d cost", "cost for empty weights",
+    ],
+)
+def test_transport_cost_rejects_malformed_input(a, b, cost):
+    with pytest.raises(ValueError):
+        transport_cost(a, b, cost)
+
+
+def test_transport_cost_raises_past_the_pivot_bound(monkeypatch):
+    # the least-cost start ships along (0, 0) and (1, 1) for a value of 100;
+    # the optimum 2 takes one pivot
+    cost = [[0.0, 1.0], [1.0, 100.0]]
+    assert transport_cost([1.0, 1.0], [1.0, 1.0], cost) == pytest.approx(2.0, abs=TOL)
+    monkeypatch.setattr(measures_module, "_PIVOTS_PER_BASIC_CELL", 0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        transport_cost([1.0, 1.0], [1.0, 1.0], cost)
 
 
 def test_hausdorff_rejects_bad_sets():
