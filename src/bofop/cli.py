@@ -26,7 +26,7 @@ from .mpnn import (
     load_model,
     sample_profile_for_model,
 )
-from .operators import load_graph, save_graph_dict, GeneratorSpec, generate_graph_dict
+from .operators import generate_graph_dict, load_graph, save_graph_dict, spec_from_dict
 from .profiles import MIXED, PM_ONE, SIGNAL_ONLY, UNIFORM, WL_INDICATOR, action_metric_estimate
 from .wl import (
     ClassicalWlNotApplicable,
@@ -170,14 +170,7 @@ def graph():
 def graph_generate(spec_path, out_path):
     """Materialize a generator spec into a graph file."""
     with open(spec_path) as f:
-        raw = json.load(f)
-    spec = GeneratorSpec(
-        raw["kind"],
-        raw.get("params", {}),
-        raw.get("aggregation", "sum"),
-        raw.get("features"),
-        raw.get("seed", 0),
-    )
+        spec = spec_from_dict(json.load(f))
     save_graph_dict(generate_graph_dict(spec), out_path)
     click.echo(out_path)
 

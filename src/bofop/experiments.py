@@ -15,21 +15,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .mpnn import MpnnModel, forward_bofop, lipschitz_certificate, model_from_dict
+from .mpnn import MpnnModel, forward_bofop, layer_pass, lipschitz_certificate, model_from_dict
 from .operators import (
     EQUATOR,
     ERDOS_RENYI,
     GRAPHON_SAMPLE,
-    NORMALIZED_SUM,
-    SUM,
-    SYMMETRIC_AVERAGE,
     GeneratorSpec,
-    _EXPR_NAMES,
-    _check_kernel_ast,
+    aggregate,
     bofop_from_graph_dict,
+    edge_probabilities,
     generate,
     generate_graph_dict,
     infty_norm,
+    materialize_features,
+    spec_from_dict,
 )
 from .profiles import action_metric_estimate
 from .wl import didm_movers_distance
@@ -148,12 +147,10 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def _spec_for(gen: dict, size=None, seed=0) -> GeneratorSpec:
-    params = dict(gen.get("params", {}))
+    spec = spec_from_dict(gen)
     if size is not None:
-        params["m" if gen.get("kind") == EQUATOR else "n"] = int(size)
-    return GeneratorSpec(
-        gen["kind"], params, gen.get("aggregation", SUM), gen.get("features"), seed
-    )
+        spec.params["m" if spec.kind == EQUATOR else "n"] = int(size)
+    return replace(spec, seed=seed)
 
 
 # ------------------------------------------------------------------ runners
@@ -292,81 +289,30 @@ def run_continuity(cfg: ExperimentConfig) -> RunReport:
 # ------------------------------------------------- generalization machinery
 
 
-def _batch_edge_probabilities(expr, latents):
-    env = {"__builtins__": {}}
-    env.update(_EXPR_NAMES)
-    env["u"] = latents[:, :, None]
-    env["v"] = latents[:, None, :]
-    try:
-        _check_kernel_ast(expr)
-        out = eval(expr, env)  # the walk above pinned the grammar
-    except Exception as exc:
-        raise ValueError(f"invalid kernel expression {expr!r}: {exc}") from exc
-    count, n = latents.shape
-    probs = np.broadcast_to(np.asarray(out, dtype=float), (count, n, n)).copy()
-    if not np.all(np.isfinite(probs)) or probs.min() < -1e-9 or probs.max() > 1 + 1e-9:
-        raise ValueError(f"kernel expression {expr!r} must take values in [0, 1]")
-    return np.clip(probs, 0.0, 1.0)
-
-
 def batch_signals(gen: dict, count: int, rng):
     """Vectorized sampler for a batch of kernels and features from one
     generator; same distribution as generate(), stacked into arrays.
 
+    The recipe is the one in operators; only the edge draws are batched here.
     Supports erdos_renyi and graphon_sample with uniform vertex weights.
     """
     if gen.get("vertex_weights") is not None:
         raise ValueError("batch sampling assumes uniform vertex weights")
-    kind = gen["kind"]
-    params = gen.get("params", {})
-    n = int(params["n"])
-    if kind == ERDOS_RENYI:
-        probs = float(params["p"])
-    elif kind == GRAPHON_SAMPLE:
-        latents = rng.uniform(0.0, 1.0, (count, n))
-        probs = _batch_edge_probabilities(str(params["kernel_expr"]), latents)
-    else:
-        raise ValueError(f"batch sampling does not support generator {kind!r}")
+    spec = spec_from_dict(gen)
+    if spec.kind not in (ERDOS_RENYI, GRAPHON_SAMPLE):
+        raise ValueError(f"batch sampling does not support generator {spec.kind!r}")
+    n, probs = edge_probabilities(spec.kind, spec.params, rng, (count,))
     draws = rng.random((count, n, n))
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     weights = np.where(upper, (draws < probs).astype(float), 0.0)
     weights = weights + weights.transpose(0, 2, 1)
-
-    aggregation = gen.get("aggregation", SUM)
-    if aggregation == SUM:
-        kernels = weights
-    elif aggregation == NORMALIZED_SUM:
-        kernels = weights / n
-    elif aggregation == SYMMETRIC_AVERAGE:
-        deg = weights.sum(axis=2)
-        scale = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-        kernels = weights * scale[:, :, None] * scale[:, None, :]
-    else:
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-
-    feat = gen.get("features") or {"mode": "constant", "value": 1.0}
-    mode = feat.get("mode")
-    if mode == "constant":
-        value = np.atleast_1d(np.asarray(feat.get("value", 1.0), dtype=float))
-        features = np.tile(value, (count, n, 1))
-    elif mode == "uniform":
-        features = rng.uniform(-1.0, 1.0, (count, n, int(feat.get("dim", 1))))
-    else:
-        raise ValueError(f"batch sampling does not support feature mode {mode!r}")
-    return kernels, features
+    kernels = aggregate(weights, spec.aggregation)
+    return kernels, materialize_features(spec.features, (count, n), rng)
 
 
 def batch_forward(model: MpnnModel, kernels, features):
     """forward_bofop over a stacked batch with uniform vertex weights."""
-    count, n, d = features.shape
-    hidden = model.updates[0].apply(features.reshape(count * n, d))
-    hidden = hidden.reshape(count, n, -1)
-    for update in model.updates[1:]:
-        agg = kernels @ hidden
-        stacked = np.concatenate([hidden, agg], axis=2)
-        hidden = update.apply(stacked.reshape(count * n, -1)).reshape(count, n, -1)
-    pooled = hidden.mean(axis=1)
-    return model.readout.apply(pooled)
+    return model.readout.apply(layer_pass(model, kernels, features)[-1].mean(axis=1))
 
 
 def _mixture_loss_sums(models, generators, labels, rng, count):

@@ -164,19 +164,31 @@ class MpnnModel:
         return max([u.lipschitz for u in self.updates] + [self.readout.lipschitz])
 
 
+def layer_pass(model: MpnnModel, kernels, features) -> list:
+    """Hidden values of every layer on signals stacked over leading axes:
+    kernels (..., n, n), features (..., n, d). Each layer maps a vertex's own
+    value next to its fiber integral."""
+    lead = features.shape[:-1]
+
+    def apply_rows(update, values):
+        return update.apply(values.reshape(-1, values.shape[-1])).reshape(*lead, -1)
+
+    hidden = apply_rows(model.updates[0], features)
+    hiddens = [hidden]
+    for update in model.updates[1:]:
+        hidden = apply_rows(update, np.concatenate([hidden, kernels @ hidden], axis=-1))
+        hiddens.append(hidden)
+    return hiddens
+
+
 def forward_bofop(model: MpnnModel, signal: FiniteBofopSignal):
-    """Layer-by-layer pass on the signal: own value next to its fiber integral."""
+    """Layer-by-layer pass on the signal, pooled by its vertex weights."""
     if signal.d != model.input_dim:
         raise ValueError(
             f"model expects feature dimension {model.input_dim}, signal has {signal.d}"
         )
-    hidden = model.updates[0].apply(signal.features)
-    hiddens = [hidden]
-    for update in model.updates[1:]:
-        hidden = update.apply(np.hstack([hidden, apply_operator(signal, hidden)]))
-        hiddens.append(hidden)
-    pooled = signal.vertex_weights @ hidden
-    return hiddens, model.readout.apply(pooled)
+    hiddens = layer_pass(model, signal.kernel, signal.features)
+    return hiddens, model.readout.apply(signal.vertex_weights @ hiddens[-1])
 
 
 def forward_idm(model: MpnnModel, didm: Didm):

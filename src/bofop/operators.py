@@ -74,12 +74,9 @@ class FiniteBofopSignal:
 def from_graph(n, edges, features, aggregation, vertex_weights=None) -> FiniteBofopSignal:
     """Build a bofop-signal from an undirected weighted edge list.
 
-    SUM keeps raw weights, NORMALIZED_SUM divides by n, SYMMETRIC_AVERAGE is
-    the degree-symmetrized kernel D^(-1/2) W D^(-1/2) with zero rows for
-    isolated vertices. Vertex weights default to uniform.
+    The kernel is aggregate(adjacency, aggregation). Vertex weights default
+    to uniform.
     """
-    if aggregation not in AGGREGATIONS:
-        raise ValueError(f"unknown aggregation {aggregation!r}")
     adj = np.zeros((n, n))
     seen = {}
     for edge in edges:
@@ -96,19 +93,28 @@ def from_graph(n, edges, features, aggregation, vertex_weights=None) -> FiniteBo
         seen[key] = w
         adj[i, j] = w
         adj[j, i] = w
-    if aggregation == SUM:
-        kernel = adj
-    elif aggregation == NORMALIZED_SUM:
-        kernel = adj / n
-    else:
-        deg = adj.sum(axis=1)
-        inv_sqrt = np.zeros(n)
-        nz = deg > 0
-        inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-        kernel = inv_sqrt[:, None] * adj * inv_sqrt[None, :]
     if vertex_weights is None:
         vertex_weights = np.full(n, 1.0 / n)
-    return FiniteBofopSignal(n, vertex_weights, kernel, features)
+    return FiniteBofopSignal(n, vertex_weights, aggregate(adj, aggregation), features)
+
+
+def aggregate(adj, aggregation) -> np.ndarray:
+    """Kernels of stacked symmetric weight matrices shaped (..., n, n).
+
+    SUM keeps raw weights, NORMALIZED_SUM divides by n, SYMMETRIC_AVERAGE is
+    D^(-1/2) W D^(-1/2) with zero rows for isolated vertices.
+    """
+    if aggregation == SUM:
+        return adj
+    if aggregation == NORMALIZED_SUM:
+        return adj / adj.shape[-1]
+    if aggregation == SYMMETRIC_AVERAGE:
+        deg = adj.sum(axis=-1)
+        inv_sqrt = np.zeros_like(deg)
+        nz = deg > 0
+        inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
+        return inv_sqrt[..., :, None] * adj * inv_sqrt[..., None, :]
+    raise ValueError(f"unknown aggregation {aggregation!r}")
 
 
 def infty_norm(signal: FiniteBofopSignal) -> float:
@@ -225,6 +231,21 @@ class GeneratorSpec:
     seed: int = 0
 
 
+_SPEC_KEYS = ("kind", "params", "aggregation", "features", "seed")
+
+
+def spec_from_dict(d: dict) -> GeneratorSpec:
+    """Read a generator spec dict into a spec with its own params dict; keys
+    outside _SPEC_KEYS are rejected."""
+    unknown = set(d) - set(_SPEC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown generator spec keys: {sorted(unknown)}")
+    return GeneratorSpec(
+        d["kind"], dict(d.get("params", {})), d.get("aggregation", SUM),
+        d.get("features"), d.get("seed", 0),
+    )
+
+
 _EXPR_NAMES = {
     "exp": np.exp,
     "sin": np.sin,
@@ -260,40 +281,63 @@ def _check_kernel_ast(expr):
             raise ValueError(f"{type(node).__name__} is not allowed")
 
 
-def _edge_probabilities(expr, n, latents):
+def kernel_expr_probabilities(expr, latents) -> np.ndarray:
+    """Evaluate a kernel expression on latents shaped (..., n); returns the
+    edge probabilities p(u_i, u_j) shaped (..., n, n)."""
     env = {"__builtins__": {}}
     env.update(_EXPR_NAMES)
-    u, v = np.meshgrid(latents, latents, indexing="ij")
-    env["u"] = u
-    env["v"] = v
+    env["u"] = latents[..., :, None]
+    env["v"] = latents[..., None, :]
     try:
         _check_kernel_ast(expr)
         out = eval(expr, env)  # the walk above pinned the grammar
     except Exception as exc:
         raise ValueError(f"invalid kernel expression {expr!r}: {exc}") from exc
-    probs = np.broadcast_to(np.asarray(out, dtype=float), (n, n)).copy()
+    shape = latents.shape + latents.shape[-1:]
+    probs = np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
     if not np.all(np.isfinite(probs)) or probs.min() < -1e-9 or probs.max() > 1 + 1e-9:
         raise ValueError(f"kernel expression {expr!r} must take values in [0, 1]")
     return np.clip(probs, 0.0, 1.0)
 
 
-def _materialize_features(features, n, rng):
+def edge_probabilities(kind, params, rng, batch):
+    """Check erdos_renyi or graphon_sample params and return (n, probs), with
+    probs broadcastable to batch + (n, n): p itself for erdos_renyi. Graphon
+    latents are drawn from rng."""
+    n = int(params["n"])
+    if kind == ERDOS_RENYI:
+        p = float(params["p"])
+        if not (0.0 <= p <= 1.0) or n < 1:
+            raise ValueError("erdos_renyi needs n >= 1 and p in [0, 1]")
+        return n, p
+    if n < 1:
+        raise ValueError("graphon_sample needs n >= 1")
+    latents = rng.uniform(0.0, 1.0, (*batch, n))
+    return n, kernel_expr_probabilities(str(params["kernel_expr"]), latents)
+
+
+def materialize_features(features, shape, rng) -> np.ndarray:
+    """Features for vertices shaped (n,) or (count, n), in [-1, 1]; the
+    result has shape shape + (d,). List features describe one graph."""
     features = features or {"mode": "constant", "value": 1.0}
     mode = features.get("mode")
+    if mode == "uniform":
+        # in [-1, 1) by construction, so it skips the range check below
+        return rng.uniform(-1.0, 1.0, (*shape, int(features.get("dim", 1))))
     if mode == "constant":
         value = np.atleast_1d(np.asarray(features.get("value", 1.0), dtype=float))
-        out = np.tile(value, (n, 1))
-    elif mode == "uniform":
-        out = rng.uniform(-1.0, 1.0, (n, int(features.get("dim", 1))))
+        out = np.tile(value, (*shape, 1))
     elif mode == "list":
+        if len(shape) != 1:
+            raise ValueError("list features describe one graph, not a batch")
         out = np.asarray(features["values"], dtype=float)
         if out.ndim == 1:
             out = out.reshape(-1, 1)
-        if out.shape[0] != n:
-            raise ValueError(f"feature list has {out.shape[0]} rows, graph has {n} vertices")
+        if out.shape[0] != shape[0]:
+            raise ValueError(f"feature list has {out.shape[0]} rows, graph has {shape[0]} vertices")
     else:
         raise ValueError(f"unknown feature mode {mode!r}")
-    if np.abs(out).max(initial=0.0) > 1.0:
+    if not np.all(np.abs(out) <= 1.0):
         raise ValueError("features must lie in [-1, 1]")
     return out
 
@@ -302,22 +346,10 @@ def _generate_structure(spec: GeneratorSpec, rng):
     """Return ("edges", n, edge list) or ("kernel", n, matrix)."""
     kind = spec.kind
     params = spec.params
-    if kind == ERDOS_RENYI:
-        n, p = int(params["n"]), float(params["p"])
-        if not (0.0 <= p <= 1.0) or n < 1:
-            raise ValueError("erdos_renyi needs n >= 1 and p in [0, 1]")
+    if kind in (ERDOS_RENYI, GRAPHON_SAMPLE):
+        n, probs = edge_probabilities(kind, params, rng, ())
         iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(iu.shape[0]) < p
-        edges = [[int(i), int(j), 1.0] for i, j in zip(iu[mask], ju[mask])]
-        return "edges", n, edges
-    if kind == GRAPHON_SAMPLE:
-        n = int(params["n"])
-        if n < 1:
-            raise ValueError("graphon_sample needs n >= 1")
-        latents = rng.uniform(0.0, 1.0, n)
-        probs = _edge_probabilities(str(params["kernel_expr"]), n, latents)
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(iu.shape[0]) < probs[iu, ju]
+        mask = rng.random(iu.shape[0]) < np.broadcast_to(probs, (n, n))[iu, ju]
         edges = [[int(i), int(j), 1.0] for i, j in zip(iu[mask], ju[mask])]
         return "edges", n, edges
     if kind == EQUATOR:
@@ -367,7 +399,7 @@ def generate_graph_dict(spec: GeneratorSpec) -> dict:
     """
     rng = np.random.default_rng(spec.seed)
     form, n, payload = _generate_structure(spec, rng)
-    features = _materialize_features(spec.features, n, rng)
+    features = materialize_features(spec.features, (n,), rng)
     out = {"n": n, "features": features.tolist()}
     if form == "edges":
         if spec.aggregation not in AGGREGATIONS:

@@ -38,6 +38,8 @@ from bofop.operators import (
     FiniteBofopSignal,
     GeneratorSpec,
     generate,
+    kernel_expr_probabilities,
+    spec_from_dict,
 )
 from bofop.mpnn import forward_bofop
 from bofop.wl import didm_movers_distance
@@ -102,15 +104,23 @@ def test_batch_forward_matches_per_graph():
 
 def test_batch_signals_degenerate_probabilities():
     rng = np.random.default_rng(1)
-    gen = {"kind": "erdos_renyi", "params": {"n": 5, "p": 1.0}, "aggregation": "sum"}
-    kernels, features = batch_signals(gen, 3, rng)
-    want = generate(GeneratorSpec(ERDOS_RENYI, {"n": 5, "p": 1.0}, SUM)).kernel
-    for k in kernels:
-        assert np.array_equal(k, want)
-    assert np.allclose(features, 1.0)
-    gen = {"kind": "erdos_renyi", "params": {"n": 5, "p": 0.0}, "aggregation": "sum"}
-    kernels, _ = batch_signals(gen, 3, rng)
-    assert not kernels.any()
+    for aggregation in (SUM, NORMALIZED_SUM, SYMMETRIC_AVERAGE):
+        for p in (1.0, 0.0):
+            gen = {"kind": "erdos_renyi", "params": {"n": 5, "p": p}, "aggregation": aggregation}
+            kernels, features = batch_signals(gen, 3, rng)
+            want = generate(GeneratorSpec(ERDOS_RENYI, {"n": 5, "p": p}, aggregation)).kernel
+            for k in kernels:
+                assert np.array_equal(k, want)
+            assert np.allclose(features, 1.0)
+            if p == 0.0:
+                assert not kernels.any()
+    # the shared evaluator on a (count, n) latent batch is the stack of its
+    # per-graph evaluations
+    latents = rng.uniform(0.0, 1.0, (4, 6))
+    for expr in ("0.5", "minimum(u, v) * exp(-abs(u - v))"):
+        stacked = kernel_expr_probabilities(expr, latents)
+        per_graph = np.stack([kernel_expr_probabilities(expr, row) for row in latents])
+        assert np.array_equal(stacked, per_graph)
 
 
 def test_batch_signals_graphon_and_errors():
@@ -164,6 +174,54 @@ def test_every_path_rejects_disallowed_kernel_expressions(expr, tmp_path):
     )
     assert result.exit_code == 1
     assert "invalid kernel expression" in result.output
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        {"kind": "erdos_renyi", "params": {"n": 4, "p": 1.5}},
+        {"kind": "erdos_renyi", "params": {"n": 4, "p": float("nan")}},
+        {"kind": "erdos_renyi", "params": {"n": 0, "p": 0.5}},
+        {"kind": "erdos_renyi", "params": {"n": 4, "p": 0.5},
+         "features": {"mode": "constant", "value": 2.0}},
+        {"kind": "erdos_renyi", "params": {"n": 4, "p": 0.5},
+         "features": {"mode": "constant", "value": float("nan")}},
+    ],
+    ids=["p above one", "p nan", "no vertices", "feature out of range", "feature nan"],
+)
+def test_every_path_rejects_invalid_generator_specs(gen, tmp_path):
+    with pytest.raises(ValueError):
+        generate(spec_from_dict(gen))
+    with pytest.raises(ValueError):
+        batch_signals(gen, 2, np.random.default_rng(0))
+    cfg = ExperimentConfig(
+        kind=GENERALIZATION, generators=(gen, ER_DENSE), sizes=(4,),
+        models=(zero_model_dict(),), labels=(1.0, -1.0),
+        seeds=(0,), decay_reps=1, hoeffding_n=4, hoeffding_reps=1,
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    result = CliRunner().invoke(
+        cli_main, ["experiment", "run", "--config", str(path), "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 1
+
+
+def test_generator_spec_with_unknown_key_is_rejected(tmp_path):
+    gen = {"kind": "erdos_renyi", "params": {"n": 4, "p": 0.5},
+           "aggregaton": "normalized_sum"}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(gen))
+    out_path = tmp_path / "graph.json"
+    result = CliRunner().invoke(
+        cli_main, ["graph", "generate", "--spec", str(spec_path), "--out", str(out_path)]
+    )
+    assert result.exit_code == 1
+    assert "aggregaton" in result.output
+    assert not out_path.exists()
+    cfg = config_from_dict({"kind": CONVERGENCE, "generators": [gen], "sizes": [4, 8]})
+    with pytest.raises(ValueError, match="aggregaton"):
+        run_experiment(cfg)
 
 
 # -------------------------------------------------------------------- runners
