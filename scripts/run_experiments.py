@@ -1,100 +1,71 @@
 """Run all four experiments at desk scale and write reports into out/.
 
+A desk config is the golden config in tests/golden/<kind>.json with the
+fields in SCALE replaced.
+
 Usage: python3 scripts/run_experiments.py [--out DIR] [--kind NAME]
 """
 
 import argparse
+import json
 import pathlib
 import sys
+import time
 
-import numpy as np
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
+sys.path.insert(0, str(GOLDEN.parents[1] / "src"))
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+from bofop.experiments import check_report, config_from_dict, emit_report, run_experiment
 
-from bofop.experiments import (
-    ExperimentConfig,
-    check_report,
-    emit_report,
-    run_experiment,
-)
-from bofop.mpnn import model_to_dict, random_model
-
-CONSTANT_HALF = {
-    "kind": "graphon_sample",
-    "params": {"kernel_expr": "0.5"},
-    "aggregation": "normalized_sum",
-}
-ER32 = {
-    "kind": "erdos_renyi",
-    "params": {"n": 32, "p": 0.5},
-    "aggregation": "normalized_sum",
-}
-ER16_SIGNAL = {
-    "kind": "erdos_renyi",
-    "params": {"n": 16, "p": 0.5},
-    "aggregation": "normalized_sum",
-    "features": {"mode": "uniform", "dim": 1},
-}
-ER8_SPARSE = {
-    "kind": "erdos_renyi",
-    "params": {"n": 8, "p": 0.25},
-    "aggregation": "normalized_sum",
-    "features": {"mode": "uniform", "dim": 1},
-}
-ER8_DENSE = {
-    "kind": "erdos_renyi",
-    "params": {"n": 8, "p": 0.75},
-    "aggregation": "normalized_sum",
-    "features": {"mode": "uniform", "dim": 1},
+SCALE = {
+    "convergence": {"k_max": 3, "seeds": [0, 1]},
+    "fineness": {"pairs": 10, "num_samples": 8},
+    "continuity": {
+        "pairs": 12,
+        "generators": [{
+            "kind": "erdos_renyi",
+            "params": {"n": 16, "p": 0.5},
+            "aggregation": "normalized_sum",
+            "features": {"mode": "uniform", "dim": 1},
+        }],
+    },
+    "generalization": {
+        "sizes": [250, 1000, 4000, 16000],
+        "decay_reps": 30,
+        "hoeffding_n": 1000,
+        "hoeffding_reps": 1000,
+    },
 }
 
 
 def desk_configs():
-    rng = np.random.default_rng(0)
-    continuity_model = model_to_dict(random_model(rng, 1, [2, 1]))
-    rng = np.random.default_rng(1)
-    hypotheses = [model_to_dict(random_model(rng, 1, [2, 1])) for _ in range(3)]
-    return {
-        "convergence": ExperimentConfig(
-            kind="convergence", generators=(CONSTANT_HALF,),
-            sizes=(8, 16, 32, 64), depth=2, k_max=3, num_samples=16,
-            seeds=(0, 1),
-        ),
-        "fineness": ExperimentConfig(
-            kind="fineness", generators=(ER32,),
-            pairs=10, depth=2, k_max=2, num_samples=8, seeds=(0,), noise=0.01,
-        ),
-        "continuity": ExperimentConfig(
-            kind="continuity", generators=(ER16_SIGNAL,),
-            pairs=12, depth=2, k_max=2, num_samples=8, seeds=(0,),
-            model=continuity_model,
-        ),
-        "generalization": ExperimentConfig(
-            kind="generalization", generators=(ER8_SPARSE, ER8_DENSE),
-            sizes=(250, 1000, 4000, 16000), models=hypotheses, seeds=(0,),
-            decay_reps=30, hoeffding_n=1000, hoeffding_reps=1000,
-        ),
-    }
+    configs = {}
+    for name, scale in SCALE.items():
+        golden = json.loads((GOLDEN / f"{name}.json").read_text())["config"]
+        configs[name] = config_from_dict({**golden, **scale})
+    return configs
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out")
-    parser.add_argument("--kind", choices=sorted(desk_configs()), default=None)
+    parser.add_argument("--kind", choices=sorted(SCALE), default=None)
     args = parser.parse_args()
 
     failures = 0
     for name, cfg in desk_configs().items():
         if args.kind and name != args.kind:
             continue
+        start = time.perf_counter()
         report = run_experiment(cfg)
+        seconds = time.perf_counter() - start
         out_dir = pathlib.Path(args.out) / name
         out_dir.mkdir(parents=True, exist_ok=True)
         for fmt in ("csv", "json", "svg"):
             emit_report(report, fmt, out_dir / f"report.{fmt}")
         problems = check_report(report)
         status = "ok" if not problems else "; ".join(problems)
-        print(f"{name}: {report.wall_time:.1f}s -> {out_dir}  [{status}]")
+        print(f"{name}: {seconds:.1f}s -> {out_dir}  [{status}]")
         failures += len(problems)
     return 2 if failures else 0
 

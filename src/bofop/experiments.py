@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -81,41 +80,22 @@ class ExperimentConfig:
         object.__setattr__(self, "labels", tuple(float(y) for y in self.labels))
 
 
-_CONFIG_FIELDS = (
-    "kind", "generators", "sizes", "depth", "k_max", "num_samples", "seeds",
-    "pairs", "noise", "epsilon_action", "epsilon_didm", "model", "models",
-    "labels", "decay_reps", "hoeffding_n", "hoeffding_reps", "deviation_k",
-)
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
-    unknown = set(d) - set(_CONFIG_FIELDS)
+    unknown = set(d) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return ExperimentConfig(**d)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "kind": cfg.kind,
-        "generators": [dict(g) for g in cfg.generators],
-        "sizes": list(cfg.sizes),
-        "depth": cfg.depth,
-        "k_max": cfg.k_max,
-        "num_samples": cfg.num_samples,
-        "seeds": list(cfg.seeds),
-        "pairs": cfg.pairs,
-        "noise": cfg.noise,
-        "epsilon_action": cfg.epsilon_action,
-        "epsilon_didm": cfg.epsilon_didm,
-        "model": cfg.model,
-        "models": [dict(m) for m in cfg.models],
-        "labels": list(cfg.labels),
-        "decay_reps": cfg.decay_reps,
-        "hoeffding_n": cfg.hoeffding_n,
-        "hoeffding_reps": cfg.hoeffding_reps,
-        "deviation_k": cfg.deviation_k,
-    }
+    """Every field of cfg; tuples become lists and the dicts in them are copied."""
+    out = {}
+    for f in fields(ExperimentConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, tuple):
+            value = [dict(v) if isinstance(v, dict) else v for v in value]
+        out[f.name] = value
+    return out
 
 
 def load_config(path) -> ExperimentConfig:
@@ -130,12 +110,9 @@ class RunReport:
     columns: tuple
     rows: tuple
     summary: dict
-    wall_time: float = 0.0
 
 
 def report_to_dict(report: RunReport) -> dict:
-    # wall time deliberately left out: serialized reports must be
-    # reproducible byte for byte
     return {
         "kind": report.kind,
         "config": report.config,
@@ -423,9 +400,7 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    start = time.perf_counter()
-    report = _RUNNERS[cfg.kind](cfg)
-    return replace(report, wall_time=time.perf_counter() - start)
+    return _RUNNERS[cfg.kind](cfg)
 
 
 def check_report(report: RunReport) -> list:

@@ -9,7 +9,6 @@ builds the cost matrix from atom coordinates and calls it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +80,6 @@ def measure_to_dict(mu: DiscreteMeasure) -> dict:
         "atoms": [[float(x) for x in row] for row in mu.atoms],
         "weights": [float(w) for w in mu.weights],
     }
-
-
-def load_measure(path) -> DiscreteMeasure:
-    with open(path) as f:
-        return measure_from_dict(json.load(f))
 
 
 def canonicalize(mu: DiscreteMeasure) -> DiscreteMeasure:

@@ -416,6 +416,9 @@ def _map_to_dict(m: CertifiedMap) -> dict:
 
 
 def _map_from_dict(d: dict) -> CertifiedMap:
+    unknown = set(d) - {"weight", "bias", "nonlinearity", "lipschitz"}
+    if unknown:
+        raise ValueError(f"unknown map keys: {sorted(unknown)}")
     # keep a bare string intact so the constructor broadcasts it per coordinate
     return CertifiedMap(
         d["weight"], d["bias"], d.get("nonlinearity", CLAMP),
@@ -431,6 +434,9 @@ def model_to_dict(model: MpnnModel) -> dict:
 
 
 def model_from_dict(d: dict) -> MpnnModel:
+    unknown = set(d) - {"updates", "readout"}
+    if unknown:
+        raise ValueError(f"unknown model keys: {sorted(unknown)}")
     return MpnnModel(
         tuple(_map_from_dict(u) for u in d["updates"]),
         _map_from_dict(d["readout"]),

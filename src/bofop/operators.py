@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -144,15 +144,7 @@ class ValidationReport:
         return self.self_adjoint and self.positive and self.features_in_range
 
     def as_dict(self) -> dict:
-        return {
-            "self_adjoint": self.self_adjoint,
-            "self_adjoint_violation": self.self_adjoint_violation,
-            "positive": self.positive,
-            "positivity_violation": self.positivity_violation,
-            "features_in_range": self.features_in_range,
-            "feature_violation": self.feature_violation,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def validate_bofop(signal: FiniteBofopSignal, tol=1e-9) -> ValidationReport:
@@ -231,13 +223,13 @@ class GeneratorSpec:
     seed: int = 0
 
 
-_SPEC_KEYS = ("kind", "params", "aggregation", "features", "seed")
+_SPEC_KEYS = {f.name for f in fields(GeneratorSpec)}
 
 
 def spec_from_dict(d: dict) -> GeneratorSpec:
     """Read a generator spec dict into a spec with its own params dict; keys
     outside _SPEC_KEYS are rejected."""
-    unknown = set(d) - set(_SPEC_KEYS)
+    unknown = set(d) - _SPEC_KEYS
     if unknown:
         raise ValueError(f"unknown generator spec keys: {sorted(unknown)}")
     return GeneratorSpec(
@@ -412,8 +404,14 @@ def generate_graph_dict(spec: GeneratorSpec) -> dict:
 
 
 def bofop_from_graph_dict(d: dict) -> FiniteBofopSignal:
-    """Read the graph JSON form: either edges + aggregation, or a raw kernel."""
+    """Read the graph JSON form: either edges + aggregation, or a raw kernel.
+    Unknown keys and n < 1 are rejected."""
+    unknown = set(d) - {"n", "edges", "aggregation", "features", "vertex_weights", "kernel"}
+    if unknown:
+        raise ValueError(f"unknown graph keys: {sorted(unknown)}")
     n = int(d["n"])
+    if n < 1:
+        raise ValueError(f"graph needs n >= 1, got {n}")
     vertex_weights = d.get("vertex_weights")
     if "kernel" in d:
         if "edges" in d or "aggregation" in d:

@@ -13,7 +13,7 @@ nor a lower bound of the true set distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,8 +68,6 @@ class ProfileSample:
     k: int
     d: int
     members: tuple
-    strategy: dict
-    source_norm_bound: float
     restriction_empty: bool = False
 
     def measures(self):
@@ -189,13 +187,7 @@ def sample_k_profile(
             if inject is not None:
                 vectors = np.vstack([vectors, inject])
         members.append(p_distribution(signal, vectors))
-    record = {
-        "name": strategy,
-        "seed": seed,
-        "count": count,
-        "injected": 0 if inject is None else int(inject.shape[0]),
-    }
-    return ProfileSample(k, signal.d, _dedup(members), record, infty_norm(signal))
+    return ProfileSample(k, signal.d, _dedup(members))
 
 
 def push_signal(sample: ProfileSample, phi: SignalMap) -> ProfileSample:
@@ -216,10 +208,7 @@ def push_signal(sample: ProfileSample, phi: SignalMap) -> ProfileSample:
             DiscreteMeasure(2 * k + phi.dim_out, new_atoms, member.measure.weights)
         )
         pushed.append(PDistribution(k, phi.dim_out, measure, member.provenance))
-    return ProfileSample(
-        k, phi.dim_out, _dedup(pushed), sample.strategy,
-        sample.source_norm_bound, sample.restriction_empty,
-    )
+    return ProfileSample(k, phi.dim_out, _dedup(pushed), sample.restriction_empty)
 
 
 def _on_diagonal(member: PDistribution, d: int) -> bool:
@@ -242,10 +231,7 @@ def diagonal_restrict(sample: ProfileSample, d: int) -> ProfileSample:
     if sample.k < d:
         raise ValueError("need order k >= d to restrict on d channels")
     kept = tuple(m for m in sample.members if _on_diagonal(m, d))
-    return ProfileSample(
-        sample.k, sample.d, kept, sample.strategy,
-        sample.source_norm_bound, restriction_empty=len(kept) == 0,
-    )
+    return ProfileSample(sample.k, sample.d, kept, restriction_empty=len(kept) == 0)
 
 
 def diagonal_marginalize(sample: ProfileSample, d: int) -> ProfileSample:
@@ -271,10 +257,7 @@ def diagonal_marginalize(sample: ProfileSample, d: int) -> ProfileSample:
         if member.provenance is not None:
             provenance = member.provenance[:new_k]
         members.append(PDistribution(new_k, new_d, measure, provenance))
-    return ProfileSample(
-        new_k, new_d, _dedup(members), sample.strategy,
-        sample.source_norm_bound, restricted.restriction_empty,
-    )
+    return ProfileSample(new_k, new_d, _dedup(members), restricted.restriction_empty)
 
 
 @dataclass(frozen=True)
@@ -288,15 +271,7 @@ class ActionMetricEstimate:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "per_k": list(self.per_k),
-            "tail_bound": self.tail_bound,
-            "k_max": self.k_max,
-            "num_samples": self.num_samples,
-            "strategy": self.strategy,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def action_metric_estimate(

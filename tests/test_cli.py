@@ -1,11 +1,14 @@
 import json
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from bofop.cli import main
 from bofop.mpnn import model_to_dict, random_model, save_model
-from bofop.operators import SUM, from_graph, generate_graph_dict, save_graph_dict, GeneratorSpec
+from bofop.operators import (
+    SUM, GeneratorSpec, bofop_from_graph_dict, from_graph, generate_graph_dict, save_graph_dict,
+)
 
 
 def write_graph(path, n=3, edges=((0, 1, 1.0), (1, 2, 1.0)), features=None):
@@ -168,3 +171,19 @@ def test_io_errors_exit_one(tmp_path):
     )
     assert res.exit_code == 1
     assert "unknown config keys" in res.output
+
+
+def test_malformed_graph_files_are_rejected(tmp_path):
+    runner = CliRunner()
+    empty = tmp_path / "g0.json"
+    empty.write_text(json.dumps({"n": 0, "edges": [], "aggregation": "sum", "features": []}))
+    res = runner.invoke(main, ["distance", "didm", str(empty), str(empty)])
+    assert res.exit_code == 1
+    assert "error:" in res.output
+    # an exception that escaped the command would be stored here instead
+    assert isinstance(res.exception, SystemExit)
+    with pytest.raises(ValueError, match="n >= 1"):
+        bofop_from_graph_dict({"n": 0, "kernel": [], "features": []})
+    with pytest.raises(ValueError, match="vertex_weight"):
+        bofop_from_graph_dict({"n": 2, "edges": [[0, 1, 1.0]], "aggregation": "sum",
+                               "features": [[1.0], [1.0]], "vertex_weight": [0.25, 0.75]})

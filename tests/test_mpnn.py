@@ -316,7 +316,7 @@ def test_profile_readout_spread_error():
         p_distribution(k2(0.2, 0.8), np.zeros((1, 2))),
         p_distribution(k2(-0.4, 0.6), np.zeros((1, 2))),
     ]
-    sample = ProfileSample(1, 1, tuple(members), {"name": "manual"}, 1.0)
+    sample = ProfileSample(1, 1, tuple(members))
     with pytest.raises(ProfileReadoutError) as err:
         forward_profile(model, sample)
     assert err.value.spread > 0.1

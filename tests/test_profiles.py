@@ -167,9 +167,7 @@ def test_push_identity_and_constant():
 
 
 def test_push_halves_indicator_example():
-    sample = ProfileSample(
-        1, 1, (p_distribution(TRIANGLE, [[1.0, 0.0, 0.0]]),), {"name": "fixed"}, 2.0
-    )
+    sample = ProfileSample(1, 1, (p_distribution(TRIANGLE, [[1.0, 0.0, 0.0]]),))
     pushed = push_signal(sample, SignalMap(lambda y: y / 2, 1, 1, 0.5))
     expected = DiscreteMeasure(3, [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]], [1 / 3, 2 / 3])
     assert measures_equal(pushed.members[0].measure, expected)
@@ -209,9 +207,7 @@ def test_restrict_keeps_signal_only_members():
 
 
 def test_restrict_drops_off_diagonal_members_and_flags_empty():
-    off = ProfileSample(
-        1, 1, (p_distribution(TRIANGLE, [[0.5, 0.5, 0.5]]),), {"name": "fixed"}, 2.0
-    )
+    off = ProfileSample(1, 1, (p_distribution(TRIANGLE, [[0.5, 0.5, 0.5]]),))
     restricted = diagonal_restrict(off, 1)
     assert restricted.members == ()
     assert restricted.restriction_empty
@@ -283,8 +279,8 @@ def test_contractive_map_cannot_shrink_test_blocks():
     # can hold for the signal pushforward
     m1 = PDistribution(1, 1, DiscreteMeasure(3, [[0.0, 0.0, 0.0]], [1.0]))
     m2 = PDistribution(1, 1, DiscreteMeasure(3, [[1.0, 0.0, 0.0]], [1.0]))
-    s1 = ProfileSample(1, 1, (m1,), {"name": "fixed"}, 1.0)
-    s2 = ProfileSample(1, 1, (m2,), {"name": "fixed"}, 1.0)
+    s1 = ProfileSample(1, 1, (m1,))
+    s2 = ProfileSample(1, 1, (m2,))
     const = SignalMap(lambda y: np.zeros(1), 1, 1, 0.0)
     before = hausdorff_set_distance(s1.measures(), s2.measures(), GROUND_L1)
     after = hausdorff_set_distance(
