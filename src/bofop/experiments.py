@@ -67,6 +67,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if not self.generators:
+            raise ValueError("need at least one generator")
         object.__setattr__(self, "generators", tuple(dict(g) for g in self.generators))
         sizes = tuple(int(n) for n in self.sizes)
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -325,6 +327,12 @@ def run_generalization(cfg: ExperimentConfig) -> RunReport:
         raise ValueError("generalization needs a hypothesis set")
     if not cfg.sizes:
         raise ValueError("generalization needs a size schedule")
+    if cfg.sizes[0] < 1:
+        raise ValueError("generalization sizes must be >= 1")
+    if len(cfg.labels) != 2:
+        raise ValueError("generalization needs two labels, one per generator")
+    if min(cfg.decay_reps, cfg.hoeffding_n, cfg.hoeffding_reps) < 1:
+        raise ValueError("generalization needs decay_reps, hoeffding_n and hoeffding_reps >= 1")
     models = [model_from_dict(m) for m in cfg.models]
     for m in models:
         if m.output_dim != 1:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 TOL = 1e-9
 MERGE_TOL = 1e-12
@@ -150,7 +149,14 @@ class GroundMetric:
             raise ValueError(f"unknown ground metric kind {self.kind!r}")
 
     def pairwise(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return cdist(x, y, metric="cityblock" if self.kind == L1 else "euclidean")
+        # add one coordinate at a time, in coordinate order, as a plain
+        # per-pair loop does; np.abs(diff).sum(-1) adds in a tree order and
+        # would change last bits
+        cost = np.zeros((len(x), len(y)))
+        for k in range(x.shape[1]):
+            diff = x[:, k, None] - y[None, :, k]
+            cost += np.abs(diff) if self.kind == L1 else diff * diff
+        return cost if self.kind == L1 else np.sqrt(cost)
 
 
 GROUND_L1 = GroundMetric(L1)

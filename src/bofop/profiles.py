@@ -291,6 +291,10 @@ def action_metric_estimate(
     """
     if b1.d != b2.d:
         raise ValueError("feature dimension mismatch")
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
     per_k = []
     value = 0.0
     for k in range(k_max + 1):

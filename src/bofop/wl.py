@@ -12,7 +12,7 @@ between their node-invariant distributions under that ground.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,7 +126,6 @@ class Didm:
     level: int
     node_idms: tuple
     node_weights: np.ndarray
-    universe: IdmUniverse = field(repr=False, default=None)
 
     def class_histogram(self) -> dict:
         hist = {}
@@ -152,7 +151,7 @@ def compute_idms(signal: FiniteBofopSignal, depth: int, universe: IdmUniverse | 
             weights = np.array([grouped[a] for a in atoms])
             nxt.append(uni.cons(current[i], atoms, weights))
         current = nxt
-    return Didm(depth, tuple(current), signal.vertex_weights, uni)
+    return Didm(depth, tuple(current), signal.vertex_weights)
 
 
 def _ot_between_idm_measures(ma: IdmMeasure, mb: IdmMeasure, memo) -> float:
@@ -237,6 +236,8 @@ def color_refinement_ids(signal: FiniteBofopSignal, rounds: int | None = None) -
     n = signal.n
     if rounds is None:
         rounds = n
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
     sigs = [signal.features[i].tobytes() for i in range(n)]
     colors = _rank(sigs)
     for _ in range(rounds):
@@ -260,6 +261,8 @@ def _rank(signatures) -> np.ndarray:
 
 def classical_wl_partition(signal: FiniteBofopSignal, rounds: int) -> np.ndarray:
     """Classical color refinement oracle; unweighted kernels, constant features."""
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
     positive = signal.kernel[signal.kernel > 0]
     if positive.size and float(positive.max() - positive.min()) > STRUCT_TOL:
         raise ClassicalWlNotApplicable(

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import bofop
 from bofop.cli import main
 from bofop.mpnn import model_to_dict, random_model, save_model
 from bofop.operators import (
@@ -24,6 +28,23 @@ def write_graph(path, n=3, edges=((0, 1, 1.0), (1, 2, 1.0)), features=None):
         path,
     )
     return sig
+
+
+def assert_guarded_error(res):
+    assert res.exit_code == 1, res.output
+    assert "error:" in res.output
+    assert "Traceback" not in res.output
+    assert "node " not in res.output
+    # an exception that escaped the command would be stored here instead
+    assert isinstance(res.exception, SystemExit)
+
+
+ER8 = {
+    "kind": "erdos_renyi",
+    "params": {"n": 8, "p": 0.5},
+    "aggregation": "normalized_sum",
+    "features": {"mode": "uniform", "dim": 1},
+}
 
 
 def test_graph_generate_and_distances(tmp_path):
@@ -172,6 +193,31 @@ def test_io_errors_exit_one(tmp_path):
     assert res.exit_code == 1
     assert "unknown config keys" in res.output
 
+    zero = {"weight": [[0.0]], "bias": [0.0], "nonlinearity": ["clamp"]}
+    bad_configs = {
+        "no_generators": {"kind": "convergence", "generators": [], "sizes": [6, 12]},
+        "one_label": {
+            "kind": "generalization", "generators": [ER8, ER8], "sizes": [4, 8],
+            "models": [{"updates": [zero], "readout": zero}], "labels": [1.0],
+            "decay_reps": 1, "hoeffding_n": 4, "hoeffding_reps": 1,
+        },
+        # a negative order would make every action distance an empty sum, 0
+        "negative_k_max": {
+            "kind": "fineness", "generators": [ER8], "pairs": 1, "depth": 1,
+            "k_max": -1, "num_samples": 4,
+        },
+    }
+    for name, cfg in bad_configs.items():
+        cfg_path.write_text(json.dumps(cfg))
+        res = runner.invoke(
+            main,
+            ["experiment", "run", "--config", str(cfg_path), "--out", str(tmp_path / name),
+             "--check"],
+        )
+        assert_guarded_error(res)
+        assert "all checks passed" not in res.output
+        assert not (tmp_path / name).exists()
+
 
 def test_malformed_graph_files_are_rejected(tmp_path):
     runner = CliRunner()
@@ -187,3 +233,69 @@ def test_malformed_graph_files_are_rejected(tmp_path):
     with pytest.raises(ValueError, match="vertex_weight"):
         bofop_from_graph_dict({"n": 2, "edges": [[0, 1, 1.0]], "aggregation": "sum",
                                "features": [[1.0], [1.0]], "vertex_weight": [0.25, 0.75]})
+
+
+def test_negative_orders_and_rounds_exit_one(tmp_path):
+    runner = CliRunner()
+    plain = tmp_path / "plain.json"
+    write_graph(plain)
+    weighted = tmp_path / "weighted.json"
+    write_graph(weighted, edges=((0, 1, 0.5), (1, 2, 2.0)))
+    g = str(plain)
+    for args in (
+        ["distance", "action", g, g, "--k-max", "-1", "--samples", "0"],
+        ["distance", "action", g, g, "--k-max", "-1"],
+        ["distance", "action", g, g, "--samples", "0"],
+        ["wl", "run", g, "--rounds", "-1"],
+        ["wl", "run", str(weighted), "--rounds", "-1"],
+    ):
+        res = runner.invoke(main, args)
+        assert_guarded_error(res)
+        assert "value" not in res.output
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """The runtime needs numpy and click only: with scipy made unimportable,
+    every command still exits 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bofop.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    launcher = "import sys; sys.modules['scipy'] = None; from bofop.cli import main; main()"
+
+    def bofop_cli(*args):
+        res = subprocess.run(
+            [sys.executable, "-c", launcher, *map(str, args)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert res.returncode == 0, (args, res.stdout, res.stderr)
+        return res.stdout
+
+    graphs = []
+    for seed in (7, 8):
+        spec_path = tmp_path / f"spec{seed}.json"
+        spec_path.write_text(json.dumps({**ER8, "params": {"n": 10, "p": 0.3}, "seed": seed}))
+        graphs.append(tmp_path / f"g{seed}.json")
+        bofop_cli("graph", "generate", "--spec", spec_path, "--out", graphs[-1])
+    bofop_cli("distance", "didm", *graphs, "--depth", "2")
+    bofop_cli("distance", "action", *graphs, "--k-max", "2", "--samples", "8")
+    bofop_cli("wl", "run", graphs[0], "--rounds", "2")
+    model = random_model(np.random.default_rng(0), 1, [2, 1])
+    model_path = tmp_path / "m.json"
+    save_model(model, model_path)
+    for via in ("bofop", "idm", "profile"):
+        bofop_cli("mpnn", "forward", "--model", model_path, "--graph", graphs[0], "--via", via)
+
+    small = {"generators": [ER8], "depth": 1, "k_max": 1, "num_samples": 4}
+    configs = {
+        "convergence": {**small, "sizes": [6, 8]},
+        "fineness": {**small, "pairs": 1},
+        "continuity": {**small, "pairs": 1, "model": model_to_dict(model)},
+        "generalization": {
+            "generators": [ER8, ER8], "sizes": [4, 8], "models": [model_to_dict(model)],
+            "decay_reps": 1, "hoeffding_n": 4, "hoeffding_reps": 1,
+        },
+    }
+    for kind, cfg in configs.items():
+        cfg_path = tmp_path / f"{kind}.json"
+        cfg_path.write_text(json.dumps({"kind": kind, **cfg}))
+        out = bofop_cli("experiment", "run", "--config", cfg_path, "--out", tmp_path / kind)
+        assert out.count("report.") == 3

@@ -81,6 +81,8 @@ def test_config_validation():
         ExperimentConfig(kind=CONVERGENCE, generators=(ER_DENSE,), seeds=())
     with pytest.raises(ValueError, match="unknown config keys"):
         config_from_dict({"kind": CONVERGENCE, "generators": [], "sizees": [1]})
+    with pytest.raises(ValueError, match="generator"):
+        config_from_dict({"kind": CONVERGENCE, "generators": []})
 
 
 # -------------------------------------------------------------- batch sampler
@@ -365,6 +367,21 @@ def test_generalization_validation():
                 kind=GENERALIZATION, generators=(ER_DENSE, ER_DENSE), sizes=(10,)
             )
         )
+    small = dict(
+        kind=GENERALIZATION, generators=(ER_DENSE, ER_DENSE), sizes=(4, 8),
+        models=(zero_model_dict(),), decay_reps=1, hoeffding_n=4, hoeffding_reps=1,
+    )
+    for bad, match in (
+        ({"labels": (1.0,)}, "two labels"),
+        ({"labels": (1.0, -1.0, 0.0)}, "two labels"),
+        ({"sizes": (0, 16)}, "sizes"),
+        ({"decay_reps": 0}, "decay_reps"),
+        ({"hoeffding_n": 0}, "hoeffding_n"),
+        ({"hoeffding_reps": 0}, "hoeffding_reps"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            run_experiment(ExperimentConfig(**{**small, **bad}))
+    run_experiment(ExperimentConfig(**small))
 
 
 # ------------------------------------------------------------------- reports

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 import bofop.measures as measures_module
 
@@ -226,6 +227,25 @@ def test_transport_cost_validation():
         GroundMetric("recursive")
     with pytest.raises(ValueError):
         transport_cost([1.0], [1.0], np.ones((2, 3)))
+
+
+def test_ground_costs_match_cdist_bit_for_bit():
+    rng = np.random.default_rng(31)
+    shapes = [(0, 0), (0, 3), (4, 0)] + [
+        (int(rng.integers(1, 41)), int(rng.integers(1, 41))) for _ in range(120)
+    ]
+    for t, (m, n) in enumerate(shapes):
+        d = 1 + t % 19
+        scale = 10.0 ** (-8 + 11 * (t % 12) / 11)
+        x = rng.uniform(-1, 1, (m, d)) * scale
+        y = rng.uniform(-1, 1, (n, d)) * scale
+        if t % 3 == 0:  # rounded atoms: tied coordinates and repeated atoms
+            x = np.round(x / scale, 1) * scale
+            y = np.round(y / scale, 1) * scale
+        for ground, name in ((GROUND_L1, "cityblock"), (GROUND_L2, "euclidean")):
+            got = ground.pairwise(x, y)
+            assert got.shape == (m, n)
+            assert np.array_equal(got, cdist(x, y, metric=name)), (t, ground.kind)
 
 
 @pytest.mark.parametrize(
