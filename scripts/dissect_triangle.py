@@ -17,31 +17,11 @@ from scipy.optimize import linprog
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 
-from bofop.measures import GROUND_L1, GROUND_L2, DiscreteMeasure, ot_unbalanced
-from bofop.operators import ERDOS_RENYI, NORMALIZED_SUM, GeneratorSpec, generate
 from bofop.wl import IdmUniverse, compute_idms, idm_distance
+# C02's own generators: the replay below follows its RNG stream draw for draw
+from test_acceptance import _random_measure, _random_signal
 
 TOL = 1e-9
-
-
-def _random_measure(rng, dim, max_atoms, normalize=False):
-    m = int(rng.integers(1, max_atoms + 1))
-    atoms = rng.uniform(-1.0, 1.0, (m, dim))
-    weights = rng.uniform(0.2, 1.0, m)
-    if normalize:
-        weights = weights / weights.sum()
-    return DiscreteMeasure(dim, atoms, weights)
-
-
-def _random_signal(rng, n, d):
-    spec = GeneratorSpec(
-        ERDOS_RENYI,
-        {"n": n, "p": float(rng.uniform(0.3, 0.8))},
-        aggregation=NORMALIZED_SUM,
-        features={"mode": "uniform", "dim": d},
-        seed=int(rng.integers(10**6)),
-    )
-    return generate(spec)
 
 
 def brute_unbalanced(cost, w1, w2):

@@ -114,15 +114,8 @@ def wl_run(graph, rounds):
         kind = "canonical"
     for i, c in enumerate(colors):
         click.echo(f"node {i}: {kind} color {int(c)}")
-    didm = compute_idms(sig, rounds)
-    hist = {}
-    for tree, mass in didm.class_histogram().items():
-        hist[tree.index] = hist.get(tree.index, 0.0) + mass
-    summary = {
-        "depth": rounds,
-        "classes": len(hist),
-        "histogram": {str(k): hist[k] for k in sorted(hist)},
-    }
+    hist = {str(t.index): mass for t, mass in compute_idms(sig, rounds).class_histogram().items()}
+    summary = {"depth": rounds, "classes": len(hist), "histogram": hist}
     click.echo(json.dumps(summary, sort_keys=True))
 
 

@@ -171,6 +171,10 @@ def run_fineness(cfg: ExperimentConfig) -> RunReport:
     """Scatter both distances over built-to-be-close pairs (edge-weight noise)
     and independent pairs. Action-close must imply mover's-close; the converse
     may fail and is only counted."""
+    if cfg.pairs < 1:
+        raise ValueError("fineness needs pairs >= 1")
+    if not (math.isfinite(cfg.noise) and cfg.noise >= 0):
+        raise ValueError(f"fineness noise must be a finite number >= 0, got {cfg.noise}")
     gen = cfg.generators[0]
     rows = []
     for s in cfg.seeds:
@@ -226,6 +230,8 @@ def run_continuity(cfg: ExperimentConfig) -> RunReport:
     action estimate can undershoot the metric."""
     if cfg.model is None:
         raise ValueError("continuity needs a model")
+    if cfg.pairs < 1:
+        raise ValueError("continuity needs pairs >= 1")
     model = model_from_dict(cfg.model)
     gen = cfg.generators[0]
     rows = []

@@ -20,7 +20,6 @@ import numpy as np
 from .measures import DiscreteMeasure, canonicalize, GROUND_L1, measures_equal, ot_unbalanced
 from .operators import FiniteBofopSignal, apply_operator
 from .profiles import (
-    MIXED,
     ProfileSample,
     SignalMap,
     diagonal_marginalize,
@@ -113,11 +112,14 @@ class CertifiedMap:
         if rows.shape[1] != self.in_dim:
             raise ValueError(f"expected input dimension {self.in_dim}, got {rows.shape[1]}")
         out = rows @ self.weight.T + self.bias
-        for c, name in enumerate(self.nonlinearity):
-            if name == CLAMP:
-                out[:, c] = np.clip(out[:, c], -1.0, 1.0)
-            else:
-                out[:, c] = np.tanh(out[:, c])
+        tanh = np.array(self.nonlinearity) == TANH
+        if not tanh.any():
+            np.clip(out, -1.0, 1.0, out=out)
+        elif tanh.all():
+            np.tanh(out, out=out)
+        else:
+            out[:, ~tanh] = np.clip(out[:, ~tanh], -1.0, 1.0)
+            out[:, tanh] = np.tanh(out[:, tanh])
         return out[0] if single else out
 
 
@@ -295,7 +297,6 @@ def sample_profile_for_model(
     count: int = 4,
     seed=0,
     extra_slots: int = 0,
-    strategy: str = MIXED,
 ) -> ProfileSample:
     """Sample a profile whose trailing test slots carry the model's hidden
     signals, so every diagonal restriction in forward_profile is populated.
@@ -310,7 +311,7 @@ def sample_profile_for_model(
     else:
         inject = np.zeros((0, signal.n))
     k = required_profile_order(model) + extra_slots
-    return sample_k_profile(signal, k, count, strategy, seed=seed, inject=inject)
+    return sample_k_profile(signal, k, count, seed=seed, inject=inject)
 
 
 # ---------------------------------------------------------------- message models

@@ -68,55 +68,50 @@ class IdmTree:
 class IdmUniverse:
     """Hash-consing registry; may span several signals so shared classes merge.
 
-    Level-0 classes merge when features agree within STRUCT_TOL; higher
-    classes merge when they share the parent class, the atom classes, and
-    weights within STRUCT_TOL. An exact-key table catches the common case,
-    with a tolerance scan inside the matching bucket behind it.
+    Level-0 classes are bucketed by feature shape, higher classes by parent
+    class and atom classes. A new tree joins the first class in its bucket
+    whose features (level 0) or weights (higher levels) lie within STRUCT_TOL.
     """
 
     def __init__(self):
-        self._level0_exact = {}
-        self._level0_all = []
         self._buckets = {}
         self._count = 0
 
-    def _new_tree(self, **kw):
-        tree = IdmTree(index=self._count, **kw)
+    def _intern(self, bucket_key, values, values_of, make) -> IdmTree:
+        # level-0 keys are shapes (tuples of ints); higher keys end in a tuple
+        # of atom ids, so the two kinds never collide
+        bucket = self._buckets.setdefault(bucket_key, [])
+        for existing in bucket:
+            if np.max(np.abs(values_of(existing) - values), initial=0.0) <= STRUCT_TOL:
+                return existing
+        tree = make(self._count)
         self._count += 1
+        bucket.append(tree)
         return tree
 
     def cons_level0(self, feature) -> IdmTree:
         feature = np.asarray(feature, dtype=float)
-        key = feature.tobytes()
-        hit = self._level0_exact.get(key)
-        if hit is not None:
-            return hit
-        for existing in self._level0_all:
-            if existing.feature.shape == feature.shape and np.max(
-                np.abs(existing.feature - feature), initial=0.0
-            ) <= STRUCT_TOL:
-                self._level0_exact[key] = existing
-                return existing
-        tree = self._new_tree(level=0, feature=feature.copy())
-        self._level0_exact[key] = tree
-        self._level0_all.append(tree)
-        return tree
+        return self._intern(
+            feature.shape,
+            feature,
+            lambda t: t.feature,
+            lambda index: IdmTree(level=0, feature=feature.copy(), index=index),
+        )
 
     def cons(self, parent: IdmTree, atoms: tuple, weights) -> IdmTree:
         weights = np.asarray(weights, dtype=float)
-        bucket_key = (id(parent), tuple(id(a) for a in atoms))
-        bucket = self._buckets.setdefault(bucket_key, [])
-        for existing in bucket:
-            if np.max(np.abs(existing.measure.weights - weights), initial=0.0) <= STRUCT_TOL:
-                return existing
-        tree = self._new_tree(
-            level=parent.level + 1,
-            feature=parent.feature,
-            parent=parent,
-            measure=IdmMeasure(atoms, weights),
+        return self._intern(
+            (id(parent), tuple(id(a) for a in atoms)),
+            weights,
+            lambda t: t.measure.weights,
+            lambda index: IdmTree(
+                level=parent.level + 1,
+                feature=parent.feature,
+                parent=parent,
+                measure=IdmMeasure(atoms, weights),
+                index=index,
+            ),
         )
-        bucket.append(tree)
-        return tree
 
 
 @dataclass(eq=False)
@@ -154,21 +149,23 @@ def compute_idms(signal: FiniteBofopSignal, depth: int, universe: IdmUniverse | 
     return Didm(depth, tuple(current), signal.vertex_weights)
 
 
-def _ot_between_idm_measures(ma: IdmMeasure, mb: IdmMeasure, memo) -> float:
-    if ma is mb:
-        return 0.0
-    if (
-        len(ma.atoms) == len(mb.atoms)
-        and all(x is y for x, y in zip(ma.atoms, mb.atoms))
-        and np.max(np.abs(ma.weights - mb.weights), initial=0.0) <= STRUCT_TOL
+def _class_transport(atoms_a, weights_a, atoms_b, weights_b, memo) -> float:
+    """Unbalanced transport between two measures on hash-consed classes.
+
+    Exactly 0.0 when both sides put the same weight, within STRUCT_TOL, on the
+    same classes in any order; otherwise transport_cost under the recursive
+    distances between the classes, taken in the given order. Atoms on one
+    side are distinct classes.
+    """
+    on_b = dict(zip(atoms_b, weights_b))
+    if len(on_b) == len(atoms_a) and all(
+        t in on_b and abs(w - on_b[t]) <= STRUCT_TOL for t, w in zip(atoms_a, weights_a)
     ):
         return 0.0
-    if ma.total_mass == 0.0 or mb.total_mass == 0.0:
-        return abs(ma.total_mass - mb.total_mass)
     cost = np.array(
-        [[_distance_memo(x, y, memo) for y in mb.atoms] for x in ma.atoms]
-    )
-    return transport_cost(ma.weights, mb.weights, cost)
+        [[_distance_memo(x, y, memo) for y in atoms_b] for x in atoms_a]
+    ).reshape(len(atoms_a), len(atoms_b))
+    return transport_cost(weights_a, weights_b, cost)
 
 
 def _distance_memo(a: IdmTree, b: IdmTree, memo) -> float:
@@ -181,8 +178,9 @@ def _distance_memo(a: IdmTree, b: IdmTree, memo) -> float:
     if a.level == 0:
         val = float(np.sqrt(((a.feature - b.feature) ** 2).sum()))
     else:
-        val = _distance_memo(a.parent, b.parent, memo) + _ot_between_idm_measures(
-            a.measure, b.measure, memo
+        ma, mb = a.measure, b.measure
+        val = _distance_memo(a.parent, b.parent, memo) + _class_transport(
+            ma.atoms, ma.weights, mb.atoms, mb.weights, memo
         )
     memo[key] = val
     return val
@@ -209,17 +207,9 @@ def didm_movers_distance(b1: FiniteBofopSignal, b2: FiniteBofopSignal, depth: in
     if b1.d != b2.d:
         raise ValueError("feature dimension mismatch")
     uni = IdmUniverse()
-    d1 = compute_idms(b1, depth, uni)
-    d2 = compute_idms(b2, depth, uni)
-    h1 = d1.class_histogram()
-    h2 = d2.class_histogram()
-    if set(h1) == set(h2) and all(abs(h1[t] - h2[t]) <= STRUCT_TOL for t in h1):
-        return 0.0
-    c1 = list(h1)
-    c2 = list(h2)
-    memo = {}
-    cost = np.array([[_distance_memo(x, y, memo) for y in c2] for x in c1])
-    return transport_cost([h1[t] for t in c1], [h2[t] for t in c2], cost)
+    h1 = compute_idms(b1, depth, uni).class_histogram()
+    h2 = compute_idms(b2, depth, uni).class_histogram()
+    return _class_transport(list(h1), list(h1.values()), list(h2), list(h2.values()), {})
 
 
 # ---------------------------------------------------------------- refinement ids

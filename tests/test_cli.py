@@ -206,6 +206,23 @@ def test_io_errors_exit_one(tmp_path):
             "kind": "fineness", "generators": [ER8], "pairs": 1, "depth": 1,
             "k_max": -1, "num_samples": 4,
         },
+        # zero pairs would test nothing and still pass the checks
+        "fineness_zero_pairs": {
+            "kind": "fineness", "generators": [ER8], "pairs": 0, "depth": 1,
+            "k_max": 1, "num_samples": 4,
+        },
+        "continuity_zero_pairs": {
+            "kind": "continuity", "generators": [ER8], "pairs": 0, "depth": 1,
+            "k_max": 1, "num_samples": 4, "model": {"updates": [zero], "readout": zero},
+        },
+        "negative_noise": {
+            "kind": "fineness", "generators": [ER8], "pairs": 1, "depth": 1,
+            "k_max": 1, "num_samples": 4, "noise": -0.5,
+        },
+        "nan_noise": {
+            "kind": "fineness", "generators": [ER8], "pairs": 1, "depth": 1,
+            "k_max": 1, "num_samples": 4, "noise": float("nan"),
+        },
     }
     for name, cfg in bad_configs.items():
         cfg_path.write_text(json.dumps(cfg))

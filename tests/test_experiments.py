@@ -384,6 +384,23 @@ def test_generalization_validation():
     run_experiment(ExperimentConfig(**small))
 
 
+def test_fineness_and_continuity_validation():
+    fineness = dict(
+        kind=FINENESS, generators=(ER_DENSE,), pairs=1, depth=1, k_max=1, num_samples=4
+    )
+    continuity = dict(fineness, kind=CONTINUITY, model=zero_model_dict())
+    for base, bad, match in (
+        (fineness, {"pairs": 0}, "pairs"),
+        (fineness, {"pairs": -1}, "pairs"),
+        (fineness, {"noise": -0.5}, "noise"),
+        (fineness, {"noise": float("nan")}, "noise"),
+        (fineness, {"noise": float("inf")}, "noise"),
+        (continuity, {"pairs": 0}, "pairs"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            run_experiment(ExperimentConfig(**{**base, **bad}))
+
+
 # ------------------------------------------------------------------- reports
 
 

@@ -90,6 +90,23 @@ def test_certified_map_per_coordinate_nonlinearity():
     assert out[1] == pytest.approx(np.tanh(3.0))
 
 
+def test_certified_map_apply_matches_column_loop():
+    def column_loop(m, rows):
+        out = rows @ m.weight.T + m.bias
+        for c, name in enumerate(m.nonlinearity):
+            out[:, c] = np.clip(out[:, c], -1.0, 1.0) if name == CLAMP else np.tanh(out[:, c])
+        return out
+
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        out_dim, in_dim = (int(k) for k in rng.integers(1, 6, 2))
+        names = (CLAMP, TANH, tuple(rng.choice([CLAMP, TANH], out_dim)))[trial % 3]
+        m = CertifiedMap(rng.normal(size=(out_dim, in_dim)) * 2.0, rng.normal(size=out_dim), names)
+        x = rng.normal(size=(int(rng.integers(1, 3000)), in_dim))
+        assert np.array_equal(m.apply(x), column_loop(m, x))
+        assert np.array_equal(m.apply(x[0]), column_loop(m, x[:1])[0])
+
+
 def test_certified_map_declared_constant_wins():
     m = affine([[2.0]], lip=0.5)
     assert m.computed_lipschitz == 2.0

@@ -126,6 +126,39 @@ def test_idm_distance_examples():
     assert got == pytest.approx(1.0, abs=TOL)
 
 
+def test_merge_rule_first_class_within_tolerance():
+    uni = IdmUniverse()
+    a = uni.cons_level0([0.5])
+    assert uni.cons_level0([0.5 + 5e-13]) is a
+    assert uni.cons_level0([0.5 + 5e-13]) is a
+    b = uni.cons_level0([0.5 + 3e-12])
+    c = uni.cons_level0([0.5, 0.5])
+    assert (a.index, b.index, c.index) == (0, 1, 2)
+
+    x = uni.cons(a, (b,), [0.3])
+    assert uni.cons(a, (b,), [0.3 + 1e-13]) is x
+    assert x.index == 3
+
+
+def test_equal_level_measures_transport_exactly_zero():
+    # weights 1e-13 apart on the same atom: the mass gap must not leak into d_1
+    uni = IdmUniverse()
+    atom = uni.cons_level0([2.0])
+    p1, p2 = uni.cons_level0([1.0]), uni.cons_level0([-0.5])
+    x = uni.cons(p1, (atom,), [0.3])
+    y = uni.cons(p2, (atom,), [0.3 + 1e-13])
+    assert idm_distance(x, y, 1) == idm_distance(p1, p2, 0)
+
+
+def test_equal_class_histograms_transport_exactly_zero():
+    # vertex weights about 1e-14 apart over three distinct classes
+    edges = [[0, 1, 1.0], [1, 2, 0.5]]
+    features = [[0.1], [0.4], [0.9]]
+    b = from_graph(3, edges, features, SUM, vertex_weights=[0.2, 0.3, 0.5])
+    shaken = from_graph(3, edges, features, SUM, vertex_weights=[0.2 + 1e-14, 0.3 - 1e-14, 0.5])
+    assert didm_movers_distance(b, shaken, 2) == 0.0
+
+
 def test_idm_distance_level_mismatch():
     uni = IdmUniverse()
     a = uni.cons_level0([1.0])
