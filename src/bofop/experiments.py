@@ -38,6 +38,11 @@ CONTINUITY = "continuity"
 GENERALIZATION = "generalization"
 KINDS = (CONVERGENCE, FINENESS, CONTINUITY, GENERALIZATION)
 
+_INT_FIELDS = (
+    "depth", "k_max", "num_samples", "pairs", "decay_reps", "hoeffding_n", "hoeffding_reps"
+)
+_REAL_FIELDS = ("noise", "epsilon_action", "epsilon_didm", "deviation_k")
+
 CSV = "csv"
 JSON = "json"
 SVG = "svg"
@@ -69,6 +74,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not self.generators:
             raise ValueError("need at least one generator")
+        # checked, never converted: the report embeds the config as given
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         object.__setattr__(self, "generators", tuple(dict(g) for g in self.generators))
         sizes = tuple(int(n) for n in self.sizes)
         if any(b <= a for a, b in zip(sizes, sizes[1:])):

@@ -24,9 +24,12 @@ L2 = "l2"
 class DiscreteMeasure:
     """Finitely supported measure: atoms (n, ambient_dim) with nonnegative weights (n,).
 
-    Atoms need not be distinct; representations that differ by merging,
-    splitting or reordering compare equal through measures_equal().
-    A zero-mass measure is valid (an isolated vertex has an empty fiber).
+    The constructor accepts any representation and stores the canonical
+    one: zero weights dropped, atoms in lexicographic order, and each atom
+    within MERGE_TOL of its group's first atom merged into it, weights summed
+    left to right. So representations that differ by merging, splitting or
+    reordering construct the same arrays. A zero-mass measure is valid (an
+    isolated vertex has an empty fiber).
     """
 
     ambient_dim: int
@@ -50,6 +53,23 @@ class DiscreteMeasure:
             raise ValueError("atoms must be finite")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise ValueError("weights must be finite and nonnegative")
+        keep = weights > 0.0
+        atoms = atoms[keep]
+        weights = weights[keep]
+        if atoms.shape[0]:
+            order = np.lexsort(atoms.T[::-1])
+            atoms = atoms[order]
+            weights = weights[order]
+            rep_atoms = [atoms[0]]
+            rep_weights = [weights[0]]
+            for i in range(1, atoms.shape[0]):
+                if np.max(np.abs(atoms[i] - rep_atoms[-1])) <= MERGE_TOL:
+                    rep_weights[-1] += weights[i]
+                else:
+                    rep_atoms.append(atoms[i])
+                    rep_weights.append(weights[i])
+            atoms = np.array(rep_atoms)
+            weights = np.array(rep_weights)
         atoms.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
@@ -69,66 +89,29 @@ def dirac(point, weight=1.0) -> DiscreteMeasure:
     return DiscreteMeasure(point.shape[0], point.reshape(1, -1), [weight])
 
 
-def measure_from_dict(d) -> DiscreteMeasure:
-    return DiscreteMeasure(int(d["dim"]), d["atoms"], d["weights"])
-
-
-def measure_to_dict(mu: DiscreteMeasure) -> dict:
-    return {
-        "dim": mu.ambient_dim,
-        "atoms": [[float(x) for x in row] for row in mu.atoms],
-        "weights": [float(w) for w in mu.weights],
-    }
-
-
-def canonicalize(mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Sort atoms lexicographically, merge atoms within MERGE_TOL, drop zero weights."""
-    keep = mu.weights > 0.0
-    atoms = mu.atoms[keep]
-    weights = mu.weights[keep]
-    if atoms.shape[0] == 0:
-        return DiscreteMeasure(mu.ambient_dim, atoms, weights)
-    order = np.lexsort(atoms.T[::-1])
-    atoms = atoms[order]
-    weights = weights[order]
-    rep_atoms = [atoms[0]]
-    rep_weights = [weights[0]]
-    for i in range(1, atoms.shape[0]):
-        if np.max(np.abs(atoms[i] - rep_atoms[-1])) <= MERGE_TOL:
-            rep_weights[-1] += weights[i]
-        else:
-            rep_atoms.append(atoms[i])
-            rep_weights.append(weights[i])
-    return DiscreteMeasure(mu.ambient_dim, np.array(rep_atoms), np.array(rep_weights))
-
-
 def measures_equal(mu: DiscreteMeasure, nu: DiscreteMeasure, weight_tol=TOL) -> bool:
-    """Equality of the induced measures, via canonical forms."""
-    if mu.ambient_dim != nu.ambient_dim:
+    """Equality of the induced measures, compared in their stored canonical forms."""
+    if mu.ambient_dim != nu.ambient_dim or mu.n_atoms != nu.n_atoms:
         return False
-    a = canonicalize(mu)
-    b = canonicalize(nu)
-    if a.n_atoms != b.n_atoms:
-        return False
-    if a.n_atoms == 0:
+    if mu.n_atoms == 0:
         return True
     if bool(
-        np.all(np.abs(a.atoms - b.atoms) <= MERGE_TOL)
-        and np.all(np.abs(a.weights - b.weights) <= weight_tol)
+        np.all(np.abs(mu.atoms - nu.atoms) <= MERGE_TOL)
+        and np.all(np.abs(mu.weights - nu.weights) <= weight_tol)
     ):
         return True
     # atoms that nearly tie on the sort key can come out of lexsort in either
     # order, so positional comparison alone has false negatives; fall back to
     # an explicit matching, which stays sound because every accepted pair is
     # checked against both tolerances
-    used = np.zeros(b.n_atoms, dtype=bool)
-    for i in range(a.n_atoms):
+    used = np.zeros(nu.n_atoms, dtype=bool)
+    for i in range(mu.n_atoms):
         hit = -1
-        for j in range(b.n_atoms):
+        for j in range(nu.n_atoms):
             if (
                 not used[j]
-                and np.max(np.abs(a.atoms[i] - b.atoms[j])) <= MERGE_TOL
-                and abs(a.weights[i] - b.weights[j]) <= weight_tol
+                and np.max(np.abs(mu.atoms[i] - nu.atoms[j])) <= MERGE_TOL
+                and abs(mu.weights[i] - nu.weights[j]) <= weight_tol
             ):
                 hit = j
                 break
@@ -402,14 +385,14 @@ def kr_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, test_fn) -> float:
 
 
 def pushforward_measure(mu: DiscreteMeasure, fn) -> DiscreteMeasure:
-    """Map atoms pointwise, keep weights, canonicalize. Total mass is unchanged."""
+    """Map atoms pointwise and keep weights. Total mass is unchanged."""
     if mu.n_atoms == 0:
         return mu
     images = [np.atleast_1d(np.asarray(fn(x), dtype=float)).ravel() for x in mu.atoms]
     out_dim = images[0].shape[0]
     if any(img.shape[0] != out_dim for img in images):
         raise ValueError("map output dimension inconsistent across atoms")
-    return canonicalize(DiscreteMeasure(out_dim, np.array(images), mu.weights))
+    return DiscreteMeasure(out_dim, np.array(images), mu.weights)
 
 
 def _mean_lower_bound(kind, sums_a, sums_b):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, canonicalize, GROUND_L1, measures_equal, ot_unbalanced
+from .measures import DiscreteMeasure, GROUND_L1, measures_equal, ot_unbalanced
 from .operators import FiniteBofopSignal, apply_operator
 from .profiles import (
     ProfileSample,
@@ -271,11 +271,7 @@ def forward_profile(model: MpnnModel, sample: ProfileSample) -> np.ndarray:
         )
     k = current.k
     projected = [
-        canonicalize(
-            DiscreteMeasure(
-                current.d, m.measure.atoms[:, 2 * k :], m.measure.weights
-            )
-        )
+        DiscreteMeasure(current.d, m.measure.atoms[:, 2 * k :], m.measure.weights)
         for m in current.members
     ]
     for other in projected[1:]:

@@ -20,7 +20,6 @@ import numpy as np
 from .measures import (
     GROUND_L1,
     DiscreteMeasure,
-    canonicalize,
     hausdorff_set_distance,
     measures_equal,
 )
@@ -68,7 +67,10 @@ class ProfileSample:
     k: int
     d: int
     members: tuple
-    restriction_empty: bool = False
+
+    @property
+    def restriction_empty(self) -> bool:
+        return not self.members
 
     def measures(self):
         return [m.measure for m in self.members]
@@ -96,19 +98,14 @@ def p_distribution(signal: FiniteBofopSignal, test_vectors) -> PDistribution:
     k = vectors.shape[0]
     aggregated = apply_operator(signal, vectors.T) if k else np.zeros((signal.n, 0))
     atoms = np.hstack([vectors.T, aggregated, signal.features])
-    measure = canonicalize(
-        DiscreteMeasure(2 * k + signal.d, atoms, signal.vertex_weights)
-    )
+    measure = DiscreteMeasure(2 * k + signal.d, atoms, signal.vertex_weights)
     return PDistribution(k, signal.d, measure, provenance=vectors)
 
 
 def _dedup(members):
     kept = []
     for m in members:
-        if not any(
-            m.k == other.k and m.d == other.d and measures_equal(m.measure, other.measure)
-            for other in kept
-        ):
+        if not any(measures_equal(m.measure, other.measure) for other in kept):
             kept.append(m)
     return tuple(kept)
 
@@ -204,11 +201,9 @@ def push_signal(sample: ProfileSample, phi: SignalMap) -> ProfileSample:
         if images.size and np.abs(images).max() > 1.0 + RANGE_TOL:
             raise ValueError("signal map output left [-1, 1]")
         new_atoms = np.hstack([atoms[:, : 2 * k], images])
-        measure = canonicalize(
-            DiscreteMeasure(2 * k + phi.dim_out, new_atoms, member.measure.weights)
-        )
+        measure = DiscreteMeasure(2 * k + phi.dim_out, new_atoms, member.measure.weights)
         pushed.append(PDistribution(k, phi.dim_out, measure, member.provenance))
-    return ProfileSample(k, phi.dim_out, _dedup(pushed), sample.restriction_empty)
+    return ProfileSample(k, phi.dim_out, _dedup(pushed))
 
 
 def _on_diagonal(member: PDistribution, d: int) -> bool:
@@ -231,7 +226,7 @@ def diagonal_restrict(sample: ProfileSample, d: int) -> ProfileSample:
     if sample.k < d:
         raise ValueError("need order k >= d to restrict on d channels")
     kept = tuple(m for m in sample.members if _on_diagonal(m, d))
-    return ProfileSample(sample.k, sample.d, kept, restriction_empty=len(kept) == 0)
+    return ProfileSample(sample.k, sample.d, kept)
 
 
 def diagonal_marginalize(sample: ProfileSample, d: int) -> ProfileSample:
@@ -250,14 +245,12 @@ def diagonal_marginalize(sample: ProfileSample, d: int) -> ProfileSample:
     members = []
     for member in restricted.members:
         atoms = member.measure.atoms[:, keep_cols]
-        measure = canonicalize(
-            DiscreteMeasure(2 * new_k + new_d, atoms, member.measure.weights)
-        )
+        measure = DiscreteMeasure(2 * new_k + new_d, atoms, member.measure.weights)
         provenance = None
         if member.provenance is not None:
             provenance = member.provenance[:new_k]
         members.append(PDistribution(new_k, new_d, measure, provenance))
-    return ProfileSample(new_k, new_d, _dedup(members), restricted.restriction_empty)
+    return ProfileSample(new_k, new_d, _dedup(members))
 
 
 @dataclass(frozen=True)

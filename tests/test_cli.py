@@ -235,6 +235,21 @@ def test_io_errors_exit_one(tmp_path):
         assert "all checks passed" not in res.output
         assert not (tmp_path / name).exists()
 
+    # a mistyped value is named in the error, not left to fail inside a runner
+    cfg_path.write_text(json.dumps({
+        "kind": "fineness", "generators": [ER8], "pairs": 1, "depth": 1,
+        "k_max": 1, "num_samples": 4, "noise": "0.1",
+    }))
+    res = runner.invoke(
+        main,
+        ["experiment", "run", "--config", str(cfg_path), "--out", str(tmp_path / "str"),
+         "--check"],
+    )
+    assert_guarded_error(res)
+    assert any(
+        line.startswith("error:") and "noise" in line for line in res.output.splitlines()
+    )
+
 
 def test_malformed_graph_files_are_rejected(tmp_path):
     runner = CliRunner()

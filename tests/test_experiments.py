@@ -85,6 +85,32 @@ def test_config_validation():
         config_from_dict({"kind": CONVERGENCE, "generators": []})
 
 
+@pytest.mark.parametrize(
+    "field", ["depth", "k_max", "num_samples", "pairs", "decay_reps", "hoeffding_n",
+              "hoeffding_reps"],
+)
+@pytest.mark.parametrize("value", ["2", 1.5, True, None])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        config_from_dict({"kind": FINENESS, "generators": [ER_DENSE], field: value})
+
+
+@pytest.mark.parametrize("field", ["noise", "epsilon_action", "epsilon_didm", "deviation_k"])
+@pytest.mark.parametrize("value", ["0.1", True, None, [0.1]])
+def test_config_rejects_non_real_tolerances(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+        config_from_dict({"kind": FINENESS, "generators": [ER_DENSE], field: value})
+
+
+def test_config_values_are_checked_not_converted():
+    d = {"kind": FINENESS, "generators": [ER_DENSE], "noise": 0, "epsilon_didm": 1,
+         "deviation_k": 0.25, "pairs": 3}
+    out = config_to_dict(config_from_dict(d))
+    for key in ("noise", "epsilon_didm", "deviation_k", "pairs"):
+        assert type(out[key]) is type(d[key]) and out[key] == d[key]
+    assert json.dumps(out["noise"]) == "0"
+
+
 # -------------------------------------------------------------- batch sampler
 
 

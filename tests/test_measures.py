@@ -10,12 +10,10 @@ from bofop.measures import (
     GROUND_L2,
     DiscreteMeasure,
     GroundMetric,
-    canonicalize,
+    MERGE_TOL,
     dirac,
     hausdorff_set_distance,
     kr_lower_bound,
-    measure_from_dict,
-    measure_to_dict,
     measures_equal,
     ot_unbalanced,
     pushforward_measure,
@@ -71,7 +69,7 @@ def test_hausdorff_examples():
 
 def test_pushforward_examples():
     mu = DiscreteMeasure(1, [[1.0], [-1.0]], [0.3, 0.7])
-    assert measures_equal(pushforward_measure(mu, lambda x: x), canonicalize(mu))
+    assert measures_equal(pushforward_measure(mu, lambda x: x), mu)
     const = pushforward_measure(mu, lambda x: np.array([4.0, 4.0]))
     assert measures_equal(const, DiscreteMeasure(2, [[4.0, 4.0]], [1.0]))
     halved = pushforward_measure(mu, lambda x: x / 2)
@@ -172,17 +170,67 @@ def test_zero_mass_cases():
 
 
 def test_canonicalize_merges_and_sorts():
-    mu = DiscreteMeasure(1, [[2.0], [0.0], [2.0], [7.0]], [0.5, 1.0, 0.5, 0.0])
-    c = canonicalize(mu)
+    c = DiscreteMeasure(1, [[2.0], [0.0], [2.0], [7.0]], [0.5, 1.0, 0.5, 0.0])
     assert c.atoms.tolist() == [[0.0], [2.0]]
     assert c.weights.tolist() == [1.0, 1.0]
 
 
 def test_canonicalize_merge_tolerance():
     close = DiscreteMeasure(1, [[0.0], [5e-13]], [1.0, 1.0])
-    assert canonicalize(close).n_atoms == 1
+    assert close.n_atoms == 1
     apart = DiscreteMeasure(1, [[0.0], [1e-6]], [1.0, 1.0])
-    assert canonicalize(apart).n_atoms == 2
+    assert apart.n_atoms == 2
+
+
+def reference_canonical_form(atoms, weights):
+    """The sort-and-merge loop, kept apart from the package as its reference."""
+    keep = weights > 0.0
+    atoms = atoms[keep]
+    weights = weights[keep]
+    if atoms.shape[0] == 0:
+        return atoms, weights
+    order = np.lexsort(atoms.T[::-1])
+    atoms = atoms[order]
+    weights = weights[order]
+    rep_atoms = [atoms[0]]
+    rep_weights = [weights[0]]
+    for i in range(1, atoms.shape[0]):
+        if np.max(np.abs(atoms[i] - rep_atoms[-1])) <= MERGE_TOL:
+            rep_weights[-1] += weights[i]
+        else:
+            rep_atoms.append(atoms[i])
+            rep_weights.append(weights[i])
+    return np.array(rep_atoms), np.array(rep_weights)
+
+
+@st.composite
+def raw_representations(draw):
+    """Atoms drawn from a few base points, shifted by exact zeros or by
+    near-ties on either side of MERGE_TOL, with zero and mixed-scale weights.
+    The shifts 0, 7e-13 and 1.4e-12 chain three atoms, each within MERGE_TOL
+    of the previous one but the last not within it of the first."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 8))
+    coord = st.sampled_from([-1.0, 0.0, 0.3, 1.0])
+    bases = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=3))
+    shift = st.sampled_from([0.0, 5e-13, -5e-13, 7e-13, 1.4e-12, 2e-12, -2e-12])
+    atoms = [[x + draw(shift) for x in draw(st.sampled_from(bases))] for _ in range(n)]
+    weight = st.one_of(st.just(0.0), st.floats(1e-9, 3.0), st.sampled_from([0.1, 0.2, 0.7]))
+    weights = [draw(weight) for _ in range(n)]
+    return d, np.array(atoms, dtype=float).reshape(n, d), np.array(weights, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_representations())
+def test_construction_stores_the_canonical_form_bit_for_bit(raw):
+    d, atoms, weights = raw
+    mu = DiscreteMeasure(d, atoms, weights)
+    ref_atoms, ref_weights = reference_canonical_form(atoms, weights)
+    assert np.array_equal(mu.atoms, ref_atoms)
+    assert np.array_equal(mu.weights, ref_weights)
+    again = DiscreteMeasure(d, mu.atoms, mu.weights)
+    assert np.array_equal(again.atoms, mu.atoms)
+    assert np.array_equal(again.weights, mu.weights)
 
 
 def test_measures_equal_is_representation_free():
@@ -191,12 +239,6 @@ def test_measures_equal_is_representation_free():
     assert measures_equal(mu, split)
     assert not measures_equal(mu, DiscreteMeasure(2, mu.atoms, [1.0, 2.5]))
     assert not measures_equal(mu, DiscreteMeasure(1, [[1.0]], [1.0]))
-
-
-def test_json_roundtrip():
-    mu = DiscreteMeasure(2, [[0.1, -0.2], [3.0, 4.0]], [0.5, 0.25])
-    back = measure_from_dict(measure_to_dict(mu))
-    assert measures_equal(mu, back)
 
 
 # ---------------------------------------------------------------- errors
