@@ -27,7 +27,7 @@ from .mpnn import (
     sample_profile_for_model,
 )
 from .operators import generate_graph_dict, load_graph, save_graph_dict, spec_from_dict
-from .profiles import MIXED, PM_ONE, SIGNAL_ONLY, UNIFORM, WL_INDICATOR, action_metric_estimate
+from .profiles import MIXED, STRATEGIES, action_metric_estimate
 from .wl import (
     ClassicalWlNotApplicable,
     classical_wl_partition,
@@ -42,7 +42,9 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+        # OverflowError: int() of an infinite number read from a file
+        except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError,
+                OverflowError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
@@ -68,7 +70,7 @@ def distance():
     "--strategy",
     default=MIXED,
     show_default=True,
-    type=click.Choice([MIXED, SIGNAL_ONLY, UNIFORM, PM_ONE, WL_INDICATOR]),
+    type=click.Choice(STRATEGIES),
 )
 @click.option("--seed", default=0, show_default=True)
 @_guarded

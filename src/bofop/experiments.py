@@ -38,18 +38,58 @@ CONTINUITY = "continuity"
 GENERALIZATION = "generalization"
 KINDS = (CONVERGENCE, FINENESS, CONTINUITY, GENERALIZATION)
 
-_INT_FIELDS = (
-    "depth", "k_max", "num_samples", "pairs", "decay_reps", "hoeffding_n", "hoeffding_reps"
-)
-_REAL_FIELDS = ("noise", "epsilon_action", "epsilon_didm", "deviation_k")
-
 CSV = "csv"
 JSON = "json"
 SVG = "svg"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
+def _count(least):
+    return f"an integer >= {least}", lambda v: _is_int(v) and v >= least
+
+
+# What each config field admits, as (rule, test). A zero tolerance or
+# deviation would make its check vacuous, so those must be positive.
+_RULES = {
+    "kind": (f"one of {', '.join(KINDS)}", lambda v: v in KINDS),
+    "generators": ("a non-empty list of generator objects",
+                   lambda v: _is_list(v) and len(v) > 0 and all(isinstance(g, dict) for g in v)),
+    "sizes": ("a strictly increasing list of integers >= 1",
+              lambda v: _is_list(v) and all(_is_int(n) and n >= 1 for n in v)
+              and all(a < b for a, b in zip(v, v[1:]))),
+    "seeds": ("a non-empty list of integers >= 0",
+              lambda v: _is_list(v) and len(v) > 0 and all(_is_int(s) and s >= 0 for s in v)),
+    "labels": ("two labels, each a finite real",
+               lambda v: _is_list(v) and len(v) == 2 and all(map(_is_real, v))),
+    "model": ("a model object or null", lambda v: v is None or isinstance(v, dict)),
+    "models": ("a list of model objects",
+               lambda v: _is_list(v) and all(isinstance(m, dict) for m in v)),
+    **dict.fromkeys(("depth", "k_max"), _count(0)),
+    **dict.fromkeys(("num_samples", "pairs", "decay_reps", "hoeffding_n", "hoeffding_reps"),
+                    _count(1)),
+    "noise": ("a real number, finite and >= 0", lambda v: _is_real(v) and v >= 0),
+    **dict.fromkeys(("epsilon_action", "epsilon_didm", "deviation_k"),
+                    ("a real number, finite and > 0", lambda v: _is_real(v) and v > 0)),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
+    """Every value a config admits is decided here, before anything runs; the
+    runners check only what their kind needs beyond it. Values are checked,
+    never converted: the report embeds the config as given."""
+
     kind: str
     generators: tuple
     sizes: tuple = ()
@@ -70,30 +110,13 @@ class ExperimentConfig:
     deviation_k: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if not self.generators:
-            raise ValueError("need at least one generator")
-        # checked, never converted: the report embeds the config as given
-        for name in _INT_FIELDS:
+        for name, (rule, admits) in _RULES.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        object.__setattr__(self, "generators", tuple(dict(g) for g in self.generators))
-        sizes = tuple(int(n) for n in self.sizes)
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("size schedule must be strictly increasing")
-        object.__setattr__(self, "sizes", sizes)
-        seeds = tuple(int(s) for s in self.seeds)
-        if not seeds or any(s < 0 for s in seeds):
-            raise ValueError("seeds must be explicit nonnegative integers")
-        object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "models", tuple(dict(m) for m in self.models))
-        object.__setattr__(self, "labels", tuple(float(y) for y in self.labels))
+            if not admits(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
+        for name in ("generators", "sizes", "seeds", "models", "labels"):
+            items = tuple(dict(v) if isinstance(v, dict) else v for v in getattr(self, name))
+            object.__setattr__(self, name, items)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -142,14 +165,23 @@ def report_to_dict(report: RunReport) -> dict:
 def _spec_for(gen: dict, size=None, seed=0) -> GeneratorSpec:
     spec = spec_from_dict(gen)
     if size is not None:
-        spec.params["m" if spec.kind == EQUATOR else "n"] = int(size)
+        spec.params["m" if spec.kind == EQUATOR else "n"] = size
     return replace(spec, seed=seed)
 
 
+def _distances(cfg: ExperimentConfig, g_a, g_b, seed) -> tuple:
+    """(action estimate, mover's distance) between two graphs, as floats."""
+    est = action_metric_estimate(g_a, g_b, cfg.k_max, cfg.num_samples, seed=seed)
+    return float(est.value), float(didm_movers_distance(g_a, g_b, cfg.depth))
+
+
 # ------------------------------------------------------------------ runners
+#
+# Each runner returns its report's columns, rows and summary; run_experiment
+# wraps them with the config.
 
 
-def run_convergence(cfg: ExperimentConfig) -> RunReport:
+def run_convergence(cfg: ExperimentConfig) -> tuple:
     """One generator sampled along the size schedule; consecutive sizes are
     compared in both distances, giving the decay table."""
     if len(cfg.sizes) < 2:
@@ -161,34 +193,22 @@ def run_convergence(cfg: ExperimentConfig) -> RunReport:
         graphs = {n: generate(_spec_for(gen, n, [s, n])) for n in cfg.sizes}
         didms = []
         for n_a, n_b in zip(cfg.sizes, cfg.sizes[1:]):
-            est = action_metric_estimate(
-                graphs[n_a], graphs[n_b], cfg.k_max, cfg.num_samples,
-                seed=[s, n_a, n_b],
-            )
-            dd = didm_movers_distance(graphs[n_a], graphs[n_b], cfg.depth)
-            rows.append((s, n_a, n_b, float(est.value), float(dd)))
-            didms.append(float(dd))
+            action, didm = _distances(cfg, graphs[n_a], graphs[n_b], [s, n_a, n_b])
+            rows.append((s, n_a, n_b, action, didm))
+            didms.append(didm)
         factors.append(didms[0] / didms[-1] if didms[-1] > 0 else None)
     finite = [f for f in factors if f is not None]
     summary = {
         "didm_decay_factors": factors,
         "min_decay_factor": min(finite) if finite else None,
     }
-    return RunReport(
-        CONVERGENCE, config_to_dict(cfg),
-        ("seed", "n_from", "n_to", "action_distance", "didm_distance"),
-        tuple(rows), summary,
-    )
+    return ("seed", "n_from", "n_to", "action_distance", "didm_distance"), rows, summary
 
 
-def run_fineness(cfg: ExperimentConfig) -> RunReport:
+def run_fineness(cfg: ExperimentConfig) -> tuple:
     """Scatter both distances over built-to-be-close pairs (edge-weight noise)
     and independent pairs. Action-close must imply mover's-close; the converse
     may fail and is only counted."""
-    if cfg.pairs < 1:
-        raise ValueError("fineness needs pairs >= 1")
-    if not (math.isfinite(cfg.noise) and cfg.noise >= 0):
-        raise ValueError(f"fineness noise must be a finite number >= 0, got {cfg.noise}")
     gen = cfg.generators[0]
     rows = []
     for s in cfg.seeds:
@@ -204,19 +224,11 @@ def run_fineness(cfg: ExperimentConfig) -> RunReport:
             ]
             g_a = bofop_from_graph_dict(base)
             g_b = bofop_from_graph_dict(shaken)
-            est = action_metric_estimate(
-                g_a, g_b, cfg.k_max, cfg.num_samples, seed=[s, p, 2]
-            )
-            dd = didm_movers_distance(g_a, g_b, cfg.depth)
-            rows.append(("perturbed", s, p, float(est.value), float(dd)))
+            rows.append(("perturbed", s, p, *_distances(cfg, g_a, g_b, [s, p, 2])))
 
             g_c = generate(_spec_for(gen, None, [s, p, 3]))
             g_d = generate(_spec_for(gen, None, [s, p, 4]))
-            est2 = action_metric_estimate(
-                g_c, g_d, cfg.k_max, cfg.num_samples, seed=[s, p, 5]
-            )
-            dd2 = didm_movers_distance(g_c, g_d, cfg.depth)
-            rows.append(("independent", s, p, float(est2.value), float(dd2)))
+            rows.append(("independent", s, p, *_distances(cfg, g_c, g_d, [s, p, 5])))
     implication = sum(
         1 for r in rows if r[3] < cfg.epsilon_action and r[4] >= cfg.epsilon_didm
     )
@@ -231,21 +243,15 @@ def run_fineness(cfg: ExperimentConfig) -> RunReport:
         "converse_counterexamples": converse,
         "max_perturbed_didm": max(perturbed) if perturbed else None,
     }
-    return RunReport(
-        FINENESS, config_to_dict(cfg),
-        ("family", "seed", "pair", "action_distance", "didm_distance"),
-        tuple(rows), summary,
-    )
+    return ("family", "seed", "pair", "action_distance", "didm_distance"), rows, summary
 
 
-def run_continuity(cfg: ExperimentConfig) -> RunReport:
+def run_continuity(cfg: ExperimentConfig) -> tuple:
     """Readout gap against both distances over independent pairs, compared to
     the certified constant. Exceedances are findings, not errors: the sampled
     action estimate can undershoot the metric."""
     if cfg.model is None:
         raise ValueError("continuity needs a model")
-    if cfg.pairs < 1:
-        raise ValueError("continuity needs pairs >= 1")
     model = model_from_dict(cfg.model)
     gen = cfg.generators[0]
     rows = []
@@ -258,11 +264,8 @@ def run_continuity(cfg: ExperimentConfig) -> RunReport:
             _, out_a = forward_bofop(model, g_a)
             _, out_b = forward_bofop(model, g_b)
             delta = float(np.abs(out_a - out_b).sum())
-            est = action_metric_estimate(
-                g_a, g_b, cfg.k_max, cfg.num_samples, seed=[s, p, 2]
-            )
-            dd = didm_movers_distance(g_a, g_b, cfg.depth)
-            rows.append((s, p, float(dd), float(est.value), delta))
+            action, didm = _distances(cfg, g_a, g_b, [s, p, 2])
+            rows.append((s, p, didm, action, delta))
     def max_ratio(idx):
         ratios = [r[4] / r[idx] for r in rows if r[idx] > 1e-12]
         return max(ratios) if ratios else None
@@ -278,11 +281,7 @@ def run_continuity(cfg: ExperimentConfig) -> RunReport:
         "didm_within_certificate": ratio_didm is None or ratio_didm <= certificate,
         "action_within_certificate": ratio_action is None or ratio_action <= certificate,
     }
-    return RunReport(
-        CONTINUITY, config_to_dict(cfg),
-        ("seed", "pair", "didm_distance", "action_distance", "readout_delta"),
-        tuple(rows), summary,
-    )
+    return ("seed", "pair", "didm_distance", "action_distance", "readout_delta"), rows, summary
 
 
 # ------------------------------------------------- generalization machinery
@@ -333,7 +332,7 @@ def _mixture_loss_sums(models, generators, labels, rng, count):
     return sums
 
 
-def run_generalization(cfg: ExperimentConfig) -> RunReport:
+def run_generalization(cfg: ExperimentConfig) -> tuple:
     """Monte-Carlo deviation decay plus the per-hypothesis Hoeffding envelope.
 
     Two generators define the classes (labels cfg.labels); the loss of a
@@ -347,12 +346,6 @@ def run_generalization(cfg: ExperimentConfig) -> RunReport:
         raise ValueError("generalization needs a hypothesis set")
     if not cfg.sizes:
         raise ValueError("generalization needs a size schedule")
-    if cfg.sizes[0] < 1:
-        raise ValueError("generalization sizes must be >= 1")
-    if len(cfg.labels) != 2:
-        raise ValueError("generalization needs two labels, one per generator")
-    if min(cfg.decay_reps, cfg.hoeffding_n, cfg.hoeffding_reps) < 1:
-        raise ValueError("generalization needs decay_reps, hoeffding_n and hoeffding_reps >= 1")
     models = [model_from_dict(m) for m in cfg.models]
     for m in models:
         if m.output_dim != 1:
@@ -412,11 +405,7 @@ def run_generalization(cfg: ExperimentConfig) -> RunReport:
             "max_violations": int(violations.max()),
         },
     }
-    return RunReport(
-        GENERALIZATION, config_to_dict(cfg),
-        ("phase", "n", "rep", "sup_deviation"),
-        tuple(rows), summary,
-    )
+    return ("phase", "n", "rep", "sup_deviation"), rows, summary
 
 
 _RUNNERS = {
@@ -428,7 +417,8 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    return _RUNNERS[cfg.kind](cfg)
+    columns, rows, summary = _RUNNERS[cfg.kind](cfg)
+    return RunReport(cfg.kind, config_to_dict(cfg), columns, tuple(rows), summary)
 
 
 def check_report(report: RunReport) -> list:

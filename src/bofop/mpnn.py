@@ -292,10 +292,10 @@ def sample_profile_for_model(
     signal: FiniteBofopSignal,
     count: int = 4,
     seed=0,
-    extra_slots: int = 0,
 ) -> ProfileSample:
-    """Sample a profile whose trailing test slots carry the model's hidden
-    signals, so every diagonal restriction in forward_profile is populated.
+    """Sample a profile of the model's required order whose test slots carry
+    its hidden signals, so every diagonal restriction in forward_profile is
+    populated.
 
     The injected channels are computed once by the plain signal pass; the
     profile pass itself never touches the operator.
@@ -306,8 +306,7 @@ def sample_profile_for_model(
         inject = np.vstack(blocks)
     else:
         inject = np.zeros((0, signal.n))
-    k = required_profile_order(model) + extra_slots
-    return sample_k_profile(signal, k, count, seed=seed, inject=inject)
+    return sample_k_profile(signal, required_profile_order(model), count, seed=seed, inject=inject)
 
 
 # ---------------------------------------------------------------- message models

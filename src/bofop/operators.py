@@ -54,7 +54,7 @@ class FiniteBofopSignal:
             raise ValueError(f"vertex_weights must have shape ({self.n},)")
         if k.shape != (self.n, self.n):
             raise ValueError(f"kernel must have shape ({self.n}, {self.n})")
-        if f.shape[0] != self.n or f.ndim != 2:
+        if f.ndim != 2 or f.shape[0] != self.n:
             raise ValueError(f"features must have shape ({self.n}, d)")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(k)) and np.all(np.isfinite(f))):
             raise ValueError("all entries must be finite")
@@ -232,9 +232,13 @@ def spec_from_dict(d: dict) -> GeneratorSpec:
     unknown = set(d) - _SPEC_KEYS
     if unknown:
         raise ValueError(f"unknown generator spec keys: {sorted(unknown)}")
+    kind, params, features = d["kind"], d.get("params", {}), d.get("features")
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be an object, got {params!r}")
+    if not (features is None or isinstance(features, dict)):
+        raise ValueError(f"features must be an object or null, got {features!r}")
     return GeneratorSpec(
-        d["kind"], dict(d.get("params", {})), d.get("aggregation", SUM),
-        d.get("features"), d.get("seed", 0),
+        kind, dict(params), d.get("aggregation", SUM), features, d.get("seed", 0)
     )
 
 
@@ -323,7 +327,7 @@ def materialize_features(features, shape, rng) -> np.ndarray:
         if len(shape) != 1:
             raise ValueError("list features describe one graph, not a batch")
         out = np.asarray(features["values"], dtype=float)
-        if out.ndim == 1:
+        if out.ndim < 2:
             out = out.reshape(-1, 1)
         if out.shape[0] != shape[0]:
             raise ValueError(f"feature list has {out.shape[0]} rows, graph has {shape[0]} vertices")

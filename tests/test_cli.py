@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import bofop
 from bofop.cli import main
@@ -224,6 +227,30 @@ def test_io_errors_exit_one(tmp_path):
             "k_max": 1, "num_samples": 4, "noise": float("nan"),
         },
     }
+    # each of these used to be accepted; an epsilon that is not a positive
+    # finite number makes the fineness check pass vacuously
+    fineness = {"kind": "fineness", "generators": [ER8], "pairs": 1, "depth": 1, "k_max": 1,
+                "num_samples": 4}
+    generalization = {
+        "kind": "generalization", "generators": [ER8, ER8], "sizes": [4, 8],
+        "models": [{"updates": [zero], "readout": zero}], "decay_reps": 1, "hoeffding_n": 4,
+        "hoeffding_reps": 1,
+    }
+    for name, base, bad in (
+        ("nan_epsilon_action", fineness, {"epsilon_action": float("nan")}),
+        ("inf_epsilon_action", fineness, {"epsilon_action": float("inf")}),
+        ("negative_epsilon_didm", fineness, {"epsilon_didm": -1.0}),
+        ("zero_epsilon_didm", fineness, {"epsilon_didm": 0}),
+        ("negative_deviation_k", generalization, {"deviation_k": -1.0}),
+        ("fractional_sizes", generalization, {"sizes": [8.9, 16]}),
+        ("non_integer_seeds", fineness, {"seeds": [True, 2.5]}),
+        ("string_label", generalization, {"labels": ["1", -1]}),
+    ):
+        bad_configs[name] = {**base, **bad}
+    named = {"nan_epsilon_action": "epsilon_action", "inf_epsilon_action": "epsilon_action",
+             "negative_epsilon_didm": "epsilon_didm", "zero_epsilon_didm": "epsilon_didm",
+             "negative_deviation_k": "deviation_k", "fractional_sizes": "sizes",
+             "non_integer_seeds": "seeds", "string_label": "labels"}
     for name, cfg in bad_configs.items():
         cfg_path.write_text(json.dumps(cfg))
         res = runner.invoke(
@@ -234,6 +261,8 @@ def test_io_errors_exit_one(tmp_path):
         assert_guarded_error(res)
         assert "all checks passed" not in res.output
         assert not (tmp_path / name).exists()
+        if name in named:
+            assert f"error: {named[name]} must be " in res.output
 
     # a mistyped value is named in the error, not left to fail inside a runner
     cfg_path.write_text(json.dumps({
@@ -249,6 +278,31 @@ def test_io_errors_exit_one(tmp_path):
     assert any(
         line.startswith("error:") and "noise" in line for line in res.output.splitlines()
     )
+
+
+def test_spec_params_and_features_must_be_objects(tmp_path):
+    runner = CliRunner()
+    spec_path = tmp_path / "spec.json"
+    cfg_path = tmp_path / "cfg.json"
+    er4 = {"kind": "erdos_renyi", "params": {"n": 4, "p": 0.5}}
+    for field, spec in (("features", {**er4, "features": "uniform"}),
+                        ("features", {**er4, "features": [0.5]}),
+                        ("params", {**er4, "params": [4, 0.5]})):
+        spec_path.write_text(json.dumps(spec))
+        res = runner.invoke(
+            main, ["graph", "generate", "--spec", str(spec_path), "--out", str(tmp_path / "g.json")]
+        )
+        assert_guarded_error(res)
+        assert f"error: {field} must be an object" in res.output
+        # the same spec reached through an experiment config's generator
+        cfg_path.write_text(json.dumps({"kind": "fineness", "generators": [spec], "pairs": 1,
+                                        "depth": 1, "k_max": 1, "num_samples": 4}))
+        res = runner.invoke(
+            main, ["experiment", "run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        )
+        assert_guarded_error(res)
+        assert f"error: {field} must be an object" in res.output
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_malformed_graph_files_are_rejected(tmp_path):
@@ -331,3 +385,117 @@ def test_every_command_runs_without_scipy(tmp_path):
         cfg_path.write_text(json.dumps({"kind": kind, **cfg}))
         out = bofop_cli("experiment", "run", "--config", cfg_path, "--out", tmp_path / kind)
         assert out.count("report.") == 3
+
+
+# ------------------------------------------------------- malformed input files
+
+
+_SPEC = {"kind": "erdos_renyi", "params": {"n": 4, "p": 0.5}, "aggregation": "normalized_sum",
+         "features": {"mode": "uniform", "dim": 1}, "seed": 3}
+_MODEL = {
+    "updates": [
+        {"weight": [[0.5], [-0.4]], "bias": [0.1, -0.2], "nonlinearity": ["clamp", "clamp"]},
+        {"weight": [[0.6, 0.2, 0.3, 0.1]], "bias": [0.25], "nonlinearity": "tanh",
+         "lipschitz": 1.0},
+    ],
+    "readout": {"weight": [[0.5]], "bias": [-0.3]},
+}
+_CONFIG = {"kind": "fineness", "generators": [_SPEC], "sizes": [], "depth": 1, "k_max": 1,
+           "num_samples": 2, "seeds": [0], "pairs": 1, "noise": 0.01, "epsilon_action": 0.05,
+           "epsilon_didm": 0.1, "model": None, "models": [], "labels": [1.0, -1.0],
+           "decay_reps": 1, "hoeffding_n": 2, "hoeffding_reps": 1, "deviation_k": 0.1}
+# one well-formed document of each file kind; the property test breaks one
+# value in it at a time
+_VALID_FILES = {
+    "graph": {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 0.5]], "aggregation": "sum",
+              "features": [[1.0], [0.2], [-0.3]], "vertex_weights": [0.4, 0.3, 0.3]},
+    "kernel_graph": {"n": 2, "kernel": [[0.0, 1.0], [1.0, 0.0]], "features": [[0.5], [-0.5]],
+                     "vertex_weights": [0.5, 0.5]},
+    "spec": _SPEC,
+    "graphon_spec": {"kind": "graphon_sample", "params": {"n": 3, "kernel_expr": "0.5*(u+v)"},
+                     "features": {"mode": "list", "values": [[0.1], [0.2], [0.3]]}},
+    "equator_spec": {"kind": "equator", "params": {"m": 6, "band_eps": 0.3},
+                     "features": {"mode": "constant", "value": 0.5}},
+    "model": _MODEL,
+    "fineness_config": _CONFIG,
+    "continuity_config": {**_CONFIG, "kind": "continuity", "model": _MODEL},
+    "convergence_config": {**_CONFIG, "kind": "convergence", "sizes": [3, 4]},
+    "generalization_config": {**_CONFIG, "kind": "generalization", "generators": [_SPEC, _SPEC],
+                              "sizes": [2, 4], "models": [_MODEL]},
+}
+_DELETE = object()
+# wrong JSON types, non-finite and out-of-range numbers; all small, so no
+# replacement can ask for a large allocation
+_BAD_VALUES = (_DELETE, None, True, False, "", "x", "uniform", [], [1.0], [[0.5]], {},
+               {"a": 1}, float("nan"), float("inf"), float("-inf"), -1, 0, 2, -0.5, 0.5, 1.5)
+
+
+def _key_paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _key_paths(value, prefix + (key,))
+
+
+def _broken(doc, path, value):
+    if not path:
+        return {} if value is _DELETE else value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _commands_reading(family, path, good_graph, good_model, out):
+    if family.endswith("graph"):
+        return [["distance", "didm", path, good_graph, "--depth", "1"],
+                ["distance", "action", path, good_graph, "--k-max", "1", "--samples", "2"],
+                ["wl", "run", path, "--rounds", "1"],
+                *(["mpnn", "forward", "--model", good_model, "--graph", path, "--via", via,
+                   "--samples", "2"] for via in ("bofop", "idm", "profile"))]
+    if family.endswith("spec"):
+        return [["graph", "generate", "--spec", path, "--out", out]]
+    if family == "model":
+        return [["mpnn", "forward", "--model", path, "--graph", good_graph, "--via", via,
+                 "--samples", "2"] for via in ("bofop", "idm", "profile")]
+    return [["experiment", "run", "--config", path, "--out", out]]
+
+
+@pytest.mark.parametrize("family", sorted(_VALID_FILES))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@example(data=None)
+def test_malformed_files_exit_one_without_traceback(family, data, tmp_path):
+    """Break one value of a well-formed file: every command that reads the file
+    either still succeeds or exits 1 with an error line, never a traceback."""
+    doc = _VALID_FILES[family]
+    if data is None:  # the valid document itself
+        broken = doc
+    else:
+        path = data.draw(st.sampled_from(list(_key_paths(doc))), label="path")
+        broken = _broken(doc, path, data.draw(st.sampled_from(_BAD_VALUES), label="value"))
+    good_graph, good_model = tmp_path / "good_graph.json", tmp_path / "good_model.json"
+    good_graph.write_text(json.dumps(_VALID_FILES["graph"]))
+    good_model.write_text(json.dumps(_MODEL))
+    target = tmp_path / "input.json"
+    target.write_text(json.dumps(broken))
+    runner = CliRunner()
+    for args in _commands_reading(family, str(target), str(good_graph), str(good_model),
+                                  str(tmp_path / "out")):
+        res = runner.invoke(main, args)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (
+            args, broken, res.exc_info)
+        assert res.exit_code in (0, 1), (args, broken, res.output)
+        if data is None:
+            assert res.exit_code == 0, (args, res.output)
+        if res.exit_code == 1:
+            assert res.output.startswith("error:") or "\nerror:" in res.output, res.output

@@ -104,11 +104,52 @@ def test_config_rejects_non_real_tolerances(field, value):
 
 def test_config_values_are_checked_not_converted():
     d = {"kind": FINENESS, "generators": [ER_DENSE], "noise": 0, "epsilon_didm": 1,
-         "deviation_k": 0.25, "pairs": 3}
+         "deviation_k": 0.25, "pairs": 3, "sizes": [4, 8], "seeds": [2, 5], "labels": [1, -1]}
     out = config_to_dict(config_from_dict(d))
     for key in ("noise", "epsilon_didm", "deviation_k", "pairs"):
         assert type(out[key]) is type(d[key]) and out[key] == d[key]
     assert json.dumps(out["noise"]) == "0"
+    for key in ("sizes", "seeds", "labels"):
+        assert out[key] == d[key]
+        assert all(type(v) is int for v in out[key])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epsilon_action", float("nan")),
+        ("epsilon_action", float("inf")),
+        ("epsilon_action", -1.0),
+        ("epsilon_didm", float("nan")),
+        ("epsilon_didm", float("-inf")),
+        ("epsilon_didm", -0.1),
+        ("epsilon_didm", 0),
+        ("deviation_k", -1.0),
+        ("deviation_k", 0.0),
+        ("noise", float("inf")),
+        ("depth", -1),
+        ("num_samples", 0),
+        ("sizes", [8.9, 16]),
+        ("sizes", [0, 16]),
+        ("sizes", [16, 8]),
+        ("sizes", 16),
+        ("seeds", [True, 2.5]),
+        ("seeds", [-1]),
+        ("seeds", []),
+        ("labels", ["1", -1]),
+        ("labels", [1.0, float("nan")]),
+        ("labels", [1.0]),
+        ("generators", [[ER_DENSE]]),
+        ("generators", ER_DENSE),
+        ("models", [1]),
+        ("model", [1]),
+        ("kind", ["fineness"]),
+    ],
+)
+def test_config_rejects_out_of_range_values(field, value):
+    # every rule lives in the config: nothing is generated or run to find out
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        config_from_dict({"kind": FINENESS, "generators": [ER_DENSE], field: value})
 
 
 # -------------------------------------------------------------- batch sampler

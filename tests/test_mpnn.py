@@ -266,7 +266,7 @@ def test_profile_matches_bofop_on_small_graphs():
     update = affine([[0.4, 0.4]])
     model = MpnnModel((identity_map(1), update), identity_map(1))
     for sig in (triangle(), k2(), p3([[0.1], [-0.5], [0.8]])):
-        sample = sample_profile_for_model(model, sig, count=3, seed=5, extra_slots=1)
+        sample = sample_profile_for_model(model, sig, count=3, seed=5)
         out = forward_profile(model, sample)
         _, ref = forward_bofop(model, sig)
         assert np.allclose(out, ref, atol=1e-9)
@@ -347,12 +347,12 @@ def test_injected_sample_layout():
         identity_map(1),
     )
     hiddens, _ = forward_bofop(model, sig)
-    sample = sample_profile_for_model(model, sig, count=2, seed=3, extra_slots=2)
-    assert sample.k == 4
-    member = sample.members[0]
-    vectors = member.provenance
-    assert np.allclose(vectors[2], hiddens[1].ravel())
-    assert np.allclose(vectors[3], hiddens[0].ravel())
+    sample = sample_profile_for_model(model, sig, count=2, seed=3)
+    assert sample.k == required_profile_order(model) == 2
+    for member in sample.members:
+        vectors = member.provenance
+        assert np.allclose(vectors[0], hiddens[1].ravel())
+        assert np.allclose(vectors[1], hiddens[0].ravel())
 
 
 # -------------------------------------------------------------- message models
@@ -511,9 +511,9 @@ def test_pushed_members_remain_valid_measures():
     rng = np.random.default_rng(43)
     sig = random_bofop(rng, 5, d=2)
     model = random_model(rng, 2, [2, 2])
-    sample = sample_profile_for_model(model, sig, count=3, seed=1, extra_slots=1)
+    sample = sample_profile_for_model(model, sig, count=3, seed=1)
     out = forward_profile(model, sample)
     assert np.all(np.abs(out) <= 1.0)
-    resampled = sample_profile_for_model(model, sig, count=3, seed=1, extra_slots=1)
+    resampled = sample_profile_for_model(model, sig, count=3, seed=1)
     for a, b in zip(sample.members, resampled.members):
         assert measures_equal(a.measure, b.measure)
