@@ -103,7 +103,13 @@ def measures_equal(mu: DiscreteMeasure, nu: DiscreteMeasure, weight_tol=TOL) -> 
     # atoms that nearly tie on the sort key can come out of lexsort in either
     # order, so positional comparison alone has false negatives; fall back to
     # an explicit matching, which stays sound because every accepted pair is
-    # checked against both tolerances
+    # checked against both tolerances. A matching within a tolerance exists
+    # only if the sorted values of each coordinate, and the sorted weights,
+    # agree within it, so that cheap test rejects most pairs first.
+    if np.any(
+        np.abs(np.sort(mu.atoms, axis=0) - np.sort(nu.atoms, axis=0)) > MERGE_TOL
+    ) or np.any(np.abs(np.sort(mu.weights) - np.sort(nu.weights)) > weight_tol):
+        return False
     used = np.zeros(nu.n_atoms, dtype=bool)
     for i in range(mu.n_atoms):
         hit = -1
@@ -353,6 +359,12 @@ def transport_cost(a, b, cost) -> float:
     return float(flows @ balanced[rows, cols]) + penalty
 
 
+def _equal_up_to_representation(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    """The pairs that ot_unbalanced answers with the mass gap alone."""
+    lighter, heavier = (nu, mu) if mu.total_mass > nu.total_mass else (mu, nu)
+    return measures_equal(lighter, heavier, weight_tol=MERGE_TOL)
+
+
 def ot_unbalanced(mu: DiscreteMeasure, nu: DiscreteMeasure, ground: GroundMetric) -> float:
     """Unbalanced transport cost between two measures under a coordinate ground
     metric: transport_cost of their weights under the pairwise atom costs.
@@ -363,8 +375,7 @@ def ot_unbalanced(mu: DiscreteMeasure, nu: DiscreteMeasure, ground: GroundMetric
     """
     if mu.ambient_dim != nu.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    lighter, heavier = (nu, mu) if mu.total_mass > nu.total_mass else (mu, nu)
-    if measures_equal(lighter, heavier, weight_tol=MERGE_TOL):
+    if _equal_up_to_representation(mu, nu):
         return abs(mu.total_mass - nu.total_mass)
     return transport_cost(mu.weights, nu.weights, ground.pairwise(mu.atoms, nu.atoms))
 
@@ -395,21 +406,63 @@ def pushforward_measure(mu: DiscreteMeasure, fn) -> DiscreteMeasure:
     return DiscreteMeasure(out_dim, np.array(images), mu.weights)
 
 
-def _mean_lower_bound(kind, sums_a, sums_b):
-    # a signed coordinate-sum functional is 1-Lipschitz for L1, a unit
-    # vector for L2; both give valid W1 lower bounds on balanced pairs
-    diff = sums_a - sums_b
-    if kind == L1:
-        return float(np.abs(diff).sum())
-    return float(np.sqrt((diff * diff).sum()))
+# the projected bound gives up this fraction of its scale, the total mass
+# times the coordinate reach of both supports, to cover the rounding of its
+# cumulative sums, which cancel where the two sides balance; and the
+# Hausdorff scan prunes a pair only when its bound exceeds the best value by
+# this fraction of that value, which covers a tight bound's last bits
+_BOUND_RTOL = 1e-12
+
+
+def _projected_lower_bound(kind, a: DiscreteMeasure, b: DiscreteMeasure) -> float:
+    """Lower bound on ot_unbalanced(a, b) from exact 1-D transports of projections.
+
+    Any coupling pays at least the 1-D W1 of the atoms projected on a
+    1-Lipschitz direction: each coordinate under L1 (their costs add up), the
+    unit vector of the weighted-sum difference under L2 (the first axis if
+    that difference is 0). On a projection the lighter side ships into a
+    sub-measure of the heavier one, whose cumulative weight differs from the
+    heavier side's by at most the mass gap, so that W1 is at least the
+    integral of |F_a - F_b| over the hull of both supports minus gap times the
+    hull's width. The unbalanced cost adds the gap itself:
+
+        gap + max(0, sum_k (integral |F_a,k - F_b,k| - gap * span_k))
+
+    less the rounding allowance _BOUND_RTOL * scale. One pass per pair: stack
+    the atoms with signed weights, sort each projection, and dot the
+    cumulative signed weights with the sorted gaps. Where ot_unbalanced
+    answers with the mass gap alone for measures equal up to representation,
+    so does the bound.
+    """
+    mass_a = a.total_mass
+    mass_b = b.total_mass
+    gap = abs(mass_a - mass_b)
+    if a.n_atoms == b.n_atoms and _equal_up_to_representation(a, b):
+        return gap
+    points = np.concatenate([a.atoms, b.atoms])
+    signed = np.concatenate([a.weights, -b.weights])
+    scale = (mass_a + mass_b) * float(np.abs(points).max(axis=0).sum())
+    if kind == L2:
+        direction = signed @ points
+        norm = float(np.sqrt(direction @ direction))
+        # with equal weighted sums any unit vector serves: take the first axis
+        points = points[:, :1] if norm == 0.0 else (points @ (direction / norm))[:, None]
+    cumulative = np.cumsum(signed[np.argsort(points, axis=0)], axis=0)
+    ordered = np.sort(points, axis=0)
+    widths = ordered[1:] - ordered[:-1]
+    excess = float(np.vdot(np.abs(cumulative[:-1]) - gap, widths))
+    return gap + max(0.0, excess - _BOUND_RTOL * scale)
 
 
 def hausdorff_set_distance(set_a, set_b, ground: GroundMetric) -> float:
     """Hausdorff distance between two finite sets of measures under transport cost.
 
-    Exact max-of-min over the finite sets. Inner minima are scanned in order
-    of a cheap transport lower bound so most transport solves are pruned; pruning
-    never changes the value.
+    Exact max-of-min over the finite sets. One table of _projected_lower_bound
+    serves both directions. Each inner minimum scans its candidates by
+    increasing bound and stops at the first one whose bound exceeds the best
+    value so far by the relative slack _BOUND_RTOL, or as soon as the best
+    value is no larger than the maximum so far, which it then cannot raise
+    (this includes a best value of 0). Pruning never changes the value.
     """
     set_a = list(set_a)
     set_b = list(set_b)
@@ -418,12 +471,9 @@ def hausdorff_set_distance(set_a, set_b, ground: GroundMetric) -> float:
     dims = {m.ambient_dim for m in set_a} | {m.ambient_dim for m in set_b}
     if len(dims) != 1:
         raise ValueError("all measures must share the ambient dimension")
-
-    def stats(ms):
-        return [(m.total_mass, m.weights @ m.atoms if m.n_atoms else np.zeros(m.ambient_dim)) for m in ms]
-
-    stats_a = stats(set_a)
-    stats_b = stats(set_b)
+    bounds = np.array(
+        [[_projected_lower_bound(ground.kind, a, b) for b in set_b] for a in set_a]
+    )
     cache = {}
 
     def pair_value(i, j):
@@ -432,31 +482,15 @@ def hausdorff_set_distance(set_a, set_b, ground: GroundMetric) -> float:
             cache[key] = ot_unbalanced(set_a[i], set_b[j], ground)
         return cache[key]
 
-    def lower_bound(i, j):
-        mass_a, sum_a = stats_a[i]
-        mass_b, sum_b = stats_b[j]
-        lb = abs(mass_a - mass_b)
-        if abs(mass_a - mass_b) <= MERGE_TOL:
-            lb = max(lb, _mean_lower_bound(ground.kind, sum_a, sum_b))
-        return lb
-
-    def directed(n_rows, n_cols, value_at, bound_at):
-        worst = 0.0
-        for i in range(n_rows):
-            order = sorted(range(n_cols), key=lambda j: bound_at(i, j))
+    def directed(table, value_at, worst):
+        for i, row in enumerate(table):
             best = np.inf
-            for j in order:
-                if bound_at(i, j) >= best:
+            for j in np.argsort(row, kind="stable").tolist():
+                if best <= worst or row[j] > best * (1.0 + _BOUND_RTOL):
                     break
                 best = min(best, value_at(i, j))
             worst = max(worst, best)
         return worst
 
-    ab = directed(len(set_a), len(set_b), pair_value, lower_bound)
-    ba = directed(
-        len(set_b),
-        len(set_a),
-        lambda j, i: pair_value(i, j),
-        lambda j, i: lower_bound(i, j),
-    )
-    return max(ab, ba)
+    ab = directed(bounds, pair_value, 0.0)
+    return directed(bounds.T, lambda j, i: pair_value(i, j), ab)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import json
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, fields
 
@@ -25,6 +26,17 @@ GRAPHON_SAMPLE = "graphon_sample"
 EQUATOR = "equator"
 RING = "ring"
 COMPLETE = "complete"
+
+
+def _integer(value, field) -> int:
+    """A count or vertex index read from a file, as an int. Integral floats
+    pass; booleans, fractions, non-finite values and non-numbers are rejected
+    with a message that names the field, never truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +94,9 @@ def from_graph(n, edges, features, aggregation, vertex_weights=None) -> FiniteBo
     for edge in edges:
         if len(edge) != 3:
             raise ValueError(f"edge must be (i, j, weight), got {edge!r}")
-        i, j, w = int(edge[0]), int(edge[1]), float(edge[2])
+        i = _integer(edge[0], "edge vertex index")
+        j = _integer(edge[1], "edge vertex index")
+        w = float(edge[2])
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"vertex index out of range in edge {edge!r}")
         if w < 0 or not np.isfinite(w):
@@ -300,7 +314,7 @@ def edge_probabilities(kind, params, rng, batch):
     """Check erdos_renyi or graphon_sample params and return (n, probs), with
     probs broadcastable to batch + (n, n): p itself for erdos_renyi. Graphon
     latents are drawn from rng."""
-    n = int(params["n"])
+    n = _integer(params["n"], f"{kind} n")
     if kind == ERDOS_RENYI:
         p = float(params["p"])
         if not (0.0 <= p <= 1.0) or n < 1:
@@ -319,7 +333,10 @@ def materialize_features(features, shape, rng) -> np.ndarray:
     mode = features.get("mode")
     if mode == "uniform":
         # in [-1, 1) by construction, so it skips the range check below
-        return rng.uniform(-1.0, 1.0, (*shape, int(features.get("dim", 1))))
+        dim = _integer(features.get("dim", 1), "features dim")
+        if dim < 1:
+            raise ValueError(f"features dim must be >= 1, got {dim}")
+        return rng.uniform(-1.0, 1.0, (*shape, dim))
     if mode == "constant":
         value = np.atleast_1d(np.asarray(features.get("value", 1.0), dtype=float))
         out = np.tile(value, (*shape, 1))
@@ -349,7 +366,7 @@ def _generate_structure(spec: GeneratorSpec, rng):
         edges = [[int(i), int(j), 1.0] for i, j in zip(iu[mask], ju[mask])]
         return "edges", n, edges
     if kind == EQUATOR:
-        m, eps = int(params["m"]), float(params["band_eps"])
+        m, eps = _integer(params["m"], "equator m"), float(params["band_eps"])
         if m < 1 or not (0.0 < eps < 1.0):
             raise ValueError("equator needs m >= 1 and band_eps in (0, 1)")
         points = rng.normal(size=(m, 3))
@@ -367,7 +384,7 @@ def _generate_structure(spec: GeneratorSpec, rng):
         kernel[nz] = band[nz] / deg[nz, None]
         return "kernel", m, kernel
     if kind == RING:
-        n = int(params["n"])
+        n = _integer(params["n"], "ring n")
         if n < 1:
             raise ValueError("ring needs n >= 1")
         edges = []
@@ -377,7 +394,7 @@ def _generate_structure(spec: GeneratorSpec, rng):
             edges = [[i, (i + 1) % n, 1.0] for i in range(n)]
         return "edges", n, edges
     if kind == COMPLETE:
-        n = int(params["n"])
+        n = _integer(params["n"], "complete n")
         if n < 1:
             raise ValueError("complete needs n >= 1")
         iu, ju = np.triu_indices(n, k=1)
@@ -413,7 +430,7 @@ def bofop_from_graph_dict(d: dict) -> FiniteBofopSignal:
     unknown = set(d) - {"n", "edges", "aggregation", "features", "vertex_weights", "kernel"}
     if unknown:
         raise ValueError(f"unknown graph keys: {sorted(unknown)}")
-    n = int(d["n"])
+    n = _integer(d["n"], "graph n")
     if n < 1:
         raise ValueError(f"graph needs n >= 1, got {n}")
     vertex_weights = d.get("vertex_weights")

@@ -77,16 +77,19 @@ class IdmUniverse:
         self._buckets = {}
         self._count = 0
 
-    def _intern(self, bucket_key, values, values_of, make) -> IdmTree:
+    def _intern(self, bucket_key, values, make) -> IdmTree:
         # level-0 keys are shapes (tuples of ints); higher keys end in a tuple
-        # of atom ids, so the two kinds never collide
+        # of atom ids, so the two kinds never collide. Each class keeps its
+        # values as Python floats, compared entry by entry: the same IEEE
+        # differences as numpy gives, without its per-call overhead.
+        values = values.ravel().tolist()
         bucket = self._buckets.setdefault(bucket_key, [])
-        for existing in bucket:
-            if np.max(np.abs(values_of(existing) - values), initial=0.0) <= STRUCT_TOL:
+        for known, existing in bucket:
+            if all(abs(x - y) <= STRUCT_TOL for x, y in zip(known, values)):
                 return existing
         tree = make(self._count)
         self._count += 1
-        bucket.append(tree)
+        bucket.append((values, tree))
         return tree
 
     def cons_level0(self, feature) -> IdmTree:
@@ -94,7 +97,6 @@ class IdmUniverse:
         return self._intern(
             feature.shape,
             feature,
-            lambda t: t.feature,
             lambda index: IdmTree(level=0, feature=feature.copy(), index=index),
         )
 
@@ -103,7 +105,6 @@ class IdmUniverse:
         return self._intern(
             (id(parent), tuple(id(a) for a in atoms)),
             weights,
-            lambda t: t.measure.weights,
             lambda index: IdmTree(
                 level=parent.level + 1,
                 feature=parent.feature,

@@ -321,6 +321,56 @@ def test_malformed_graph_files_are_rejected(tmp_path):
                                "features": [[1.0], [1.0]], "vertex_weight": [0.25, 0.75]})
 
 
+@pytest.mark.parametrize("bad", [3.9, True, float("inf"), "3"])
+def test_fractional_counts_in_graph_and_spec_files_exit_one(bad, tmp_path):
+    # a count or index is never truncated: 3.9 vertices is an error, not 3
+    runner = CliRunner()
+    graph = {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 0.5]], "aggregation": "sum",
+             "features": [[1.0], [1.0], [1.0]]}
+    cases = [
+        ("graph n", {**graph, "n": bad}),
+        ("edge vertex index", {**graph, "edges": [[bad, 2, 0.5]]}),
+        ("edge vertex index", {**graph, "edges": [[0, bad, 0.5]]}),
+    ]
+    path = tmp_path / "g.json"
+    for field, broken in cases:
+        path.write_text(json.dumps(broken))
+        res = runner.invoke(main, ["wl", "run", str(path), "--rounds", "1"])
+        assert_guarded_error(res)
+        assert f"error: {field} must be an integer" in res.output
+    er4 = {"kind": "erdos_renyi", "params": {"n": 4, "p": 0.5},
+           "features": {"mode": "uniform", "dim": 1}}
+    specs = [
+        ("erdos_renyi n", {**er4, "params": {"n": bad, "p": 0.5}}),
+        ("graphon_sample n", {"kind": "graphon_sample",
+                              "params": {"n": bad, "kernel_expr": "u * v"}}),
+        ("equator m", {"kind": "equator", "params": {"m": bad, "band_eps": 0.3}}),
+        ("ring n", {"kind": "ring", "params": {"n": bad}}),
+        ("complete n", {"kind": "complete", "params": {"n": bad}}),
+        ("features dim", {**er4, "features": {"mode": "uniform", "dim": bad}}),
+    ]
+    spec_path = tmp_path / "spec.json"
+    out = tmp_path / "out.json"
+    for field, spec in specs:
+        spec_path.write_text(json.dumps(spec))
+        res = runner.invoke(main, ["graph", "generate", "--spec", str(spec_path), "--out", str(out)])
+        assert_guarded_error(res)
+        assert f"error: {field} must be an integer" in res.output
+    assert not out.exists()
+
+
+def test_integral_floats_still_count(tmp_path):
+    runner = CliRunner()
+    path = tmp_path / "g.json"
+    write_graph(path)
+    plain = runner.invoke(main, ["wl", "run", str(path), "--rounds", "1"])
+    path.write_text(json.dumps({"n": 3.0, "edges": [[0.0, 1, 1.0], [1, 2.0, 1.0]],
+                                "aggregation": "sum", "features": [[1.0], [1.0], [1.0]]}))
+    res = runner.invoke(main, ["wl", "run", str(path), "--rounds", "1"])
+    assert res.exit_code == 0, res.output
+    assert res.output == plain.output
+
+
 def test_negative_orders_and_rounds_exit_one(tmp_path):
     runner = CliRunner()
     plain = tmp_path / "plain.json"

@@ -17,6 +17,7 @@ from bofop.measures import (
     measures_equal,
     ot_unbalanced,
     pushforward_measure,
+    _projected_lower_bound,
     transport_cost,
 )
 from ot_oracle import enumerate_tree_costs, ot_oracle, transport_oracle
@@ -233,6 +234,58 @@ def test_construction_stores_the_canonical_form_bit_for_bit(raw):
     assert np.array_equal(again.weights, mu.weights)
 
 
+def reference_measures_equal(mu, nu, weight_tol):
+    """Positional comparison, then the greedy matching, with no prefilter."""
+    if mu.ambient_dim != nu.ambient_dim or mu.n_atoms != nu.n_atoms:
+        return False
+    if np.all(np.abs(mu.atoms - nu.atoms) <= MERGE_TOL) and np.all(
+        np.abs(mu.weights - nu.weights) <= weight_tol
+    ):
+        return True
+    used = np.zeros(nu.n_atoms, dtype=bool)
+    for i in range(mu.n_atoms):
+        hit = next(
+            (
+                j
+                for j in range(nu.n_atoms)
+                if not used[j]
+                and np.max(np.abs(mu.atoms[i] - nu.atoms[j])) <= MERGE_TOL
+                and abs(mu.weights[i] - nu.weights[j]) <= weight_tol
+            ),
+            -1,
+        )
+        if hit < 0:
+            return False
+        used[hit] = True
+    return True
+
+
+@st.composite
+def representation_pairs(draw):
+    """A measure and a permuted copy whose atoms and weights each move by 0
+    or by +-5e-13, which flips the sort order of atoms that tie on a leading
+    coordinate, or also by 2e-12 or 1e-6, so that equal, nearly equal and
+    unequal pairs all occur."""
+    d, atoms, weights = draw(raw_representations())
+    n = atoms.shape[0]
+    near = [0.0, 5e-13, -5e-13]
+    shift = st.sampled_from(draw(st.sampled_from([near, near + [2e-12, 1e-6]])))
+    moved = atoms + np.array([draw(shift) for _ in range(n * d)]).reshape(n, d)
+    reweighted = np.maximum(weights + np.array([draw(shift) for _ in range(n)]), 0.0)
+    order = np.array(draw(st.permutations(range(n))), dtype=int)
+    return DiscreteMeasure(d, atoms, weights), DiscreteMeasure(d, moved[order], reweighted[order])
+
+
+@settings(max_examples=300, deadline=None)
+@given(representation_pairs())
+def test_measures_equal_matches_the_plain_matching(pair):
+    # the sorted-coordinate prefilter only rejects pairs no matching accepts
+    mu, nu = pair
+    for tol in (MERGE_TOL, TOL):
+        assert measures_equal(mu, nu, tol) == reference_measures_equal(mu, nu, tol)
+        assert measures_equal(nu, mu, tol) == reference_measures_equal(nu, mu, tol)
+
+
 def test_measures_equal_is_representation_free():
     mu = DiscreteMeasure(2, [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
     split = DiscreteMeasure(2, [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [1.5, 1.0, 0.5])
@@ -413,6 +466,14 @@ def test_kr_bound_never_exceeds_transport(mu, nu):
         assert kr_lower_bound(mu, nu, lambda x: float(s @ x)) <= w + TOL
 
 
+def brute_force_hausdorff(set_a, set_b, ground):
+    table = [[ot_unbalanced(a, b, ground) for b in set_b] for a in set_a]
+    return max(
+        max(min(row) for row in table),
+        max(min(col) for col in zip(*table)),
+    )
+
+
 def test_hausdorff_pruning_is_exact():
     rng = np.random.default_rng(23)
 
@@ -423,9 +484,115 @@ def test_hausdorff_pruning_is_exact():
     for ground in (GROUND_L1, GROUND_L2):
         set_a = [rand_measure() for _ in range(5)]
         set_b = [rand_measure() for _ in range(4)]
-        table = [[ot_unbalanced(a, b, ground) for b in set_b] for a in set_a]
-        brute = max(
-            max(min(row) for row in table),
-            max(min(col) for col in zip(*table)),
+        assert hausdorff_set_distance(set_a, set_b, ground) == brute_force_hausdorff(
+            set_a, set_b, ground
         )
-        assert hausdorff_set_distance(set_a, set_b, ground) == pytest.approx(brute, abs=TOL)
+
+
+@st.composite
+def related_measures(draw, d, quarters):
+    """A measure whose mass is `quarters` / 4 on a 1/4 weight grid, the same
+    weights shifted by about 1e-13 in mass, or free weights of unequal mass.
+    Coordinates mix a coarse grid, which makes ties, with arbitrary floats."""
+    n = draw(st.integers(1, min(4, quarters)))
+    coord = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2, 2))
+    atoms = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+    cuts = draw(
+        st.lists(st.integers(1, quarters - 1), min_size=n - 1, max_size=n - 1, unique=True)
+        if quarters > 1
+        else st.just([])
+    )
+    weights = np.diff([0] + sorted(cuts) + [quarters]) / 4.0
+    mass = draw(st.sampled_from(["equal", "near", "unequal"]))
+    if mass == "near":
+        weights[-1] += draw(st.sampled_from([1e-13, -1e-13, 3e-13]))
+    elif mass == "unequal":
+        weights = np.array(draw(st.lists(st.floats(0.1, 1.5), min_size=n, max_size=n)))
+    return DiscreteMeasure(d, np.array(atoms, dtype=float), weights)
+
+
+@st.composite
+def hausdorff_cases(draw):
+    """Two sets from one pool: drawn with repeats (tied measures), or the
+    second the first itself or a permuted copy."""
+    ground = draw(st.sampled_from([GROUND_L1, GROUND_L2]))
+    d = draw(st.integers(1, 3))
+    quarters = draw(st.integers(1, 8))
+    pool = draw(st.lists(related_measures(d, quarters), min_size=1, max_size=5))
+    member = st.sampled_from(pool)
+    set_a = draw(st.lists(member, min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["other", "self", "permuted"]))
+    if kind == "other":
+        set_b = draw(st.lists(member, min_size=1, max_size=4))
+    elif kind == "self":
+        set_b = set_a
+    else:
+        set_b = draw(st.permutations(set_a))
+    return set_a, set_b, ground
+
+
+@settings(max_examples=150, deadline=None)
+@given(hausdorff_cases())
+def test_hausdorff_pruning_matches_brute_force_bit_for_bit(case):
+    set_a, set_b, ground = case
+    assert hausdorff_set_distance(set_a, set_b, ground) == brute_force_hausdorff(
+        set_a, set_b, ground
+    )
+
+
+@st.composite
+def related_pairs(draw, d=None):
+    d = d or draw(st.integers(1, 3))
+    quarters = draw(st.integers(1, 8))
+    return draw(related_measures(d, quarters)), draw(related_measures(d, quarters))
+
+
+@settings(max_examples=200, deadline=None)
+@given(related_pairs())
+def test_projected_bound_never_exceeds_transport(pair):
+    mu, nu = pair
+    for ground in (GROUND_L1, GROUND_L2):
+        value = ot_unbalanced(mu, nu, ground)
+        assert _projected_lower_bound(ground.kind, mu, nu) <= value * (1 + 1e-12)
+        assert _projected_lower_bound(ground.kind, nu, mu) <= value * (1 + 1e-12)
+
+
+def test_projected_bound_allows_for_cancelling_sums():
+    # 0.1 + 0.2 - 0.3 leaves 5.6e-17 in the cumulative sum, which the 5-wide
+    # gap to the last atoms multiplies; the exact value is only 2e-11
+    mu = DiscreteMeasure(1, [[0.0], [1e-10], [5.0]], [0.1, 0.2, 1.0])
+    nu = DiscreteMeasure(1, [[0.0], [5.0]], [0.3, 1.0])
+    for ground in (GROUND_L1, GROUND_L2):
+        value = ot_unbalanced(mu, nu, ground)
+        assert value == pytest.approx(2e-11, rel=1e-6)
+        assert _projected_lower_bound(ground.kind, mu, nu) <= value
+
+
+def test_projected_bound_matches_the_gap_shortcut():
+    # atoms within MERGE_TOL are the same measure to ot_unbalanced; near the
+    # origin the rounding allowance is far smaller than their distance
+    mu = DiscreteMeasure(2, [[0.0, 0.0], [0.0, 1e-9]], [0.5, 0.5])
+    nu = DiscreteMeasure(2, [[5e-13, 0.0], [-5e-13, 1e-9]], [0.5, 0.5 + 1e-13])
+    for ground in (GROUND_L1, GROUND_L2):
+        gap = abs(mu.total_mass - nu.total_mass)
+        assert ot_unbalanced(mu, nu, ground) == gap
+        assert _projected_lower_bound(ground.kind, mu, nu) == gap
+        # an empty side ships nothing: the value is the mass gap
+        empty = DiscreteMeasure(2, np.zeros((0, 2)), [])
+        assert _projected_lower_bound(ground.kind, empty, empty) == 0.0
+        assert _projected_lower_bound(ground.kind, empty, nu) == nu.total_mass
+        assert _projected_lower_bound(ground.kind, mu, empty) == mu.total_mass
+
+
+@settings(max_examples=100, deadline=None)
+@given(related_pairs(d=1))
+def test_projected_bound_is_tight_on_the_line(pair):
+    # in one dimension both grounds are the line's, and for equal masses the
+    # 1-D transport is the whole transport; the bound gives up at most 1e-12
+    # of its scale, total mass (<= 4) times coordinate reach (<= 2)
+    mu, nu = pair
+    assume(mu.total_mass == nu.total_mass)
+    for ground in (GROUND_L1, GROUND_L2):
+        assert _projected_lower_bound(ground.kind, mu, nu) == pytest.approx(
+            ot_unbalanced(mu, nu, ground), rel=1e-9, abs=1e-11
+        )
