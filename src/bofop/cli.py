@@ -42,7 +42,8 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        # OverflowError: int() of an infinite number read from a file
+        # OverflowError: float() of a JSON integer too large for a double, as
+        # a spec's p, an edge weight or a feature value
         except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError,
                 OverflowError) as exc:
             click.echo(f"error: {exc}", err=True)
@@ -135,10 +136,10 @@ def mpnn():
     show_default=True,
     type=click.Choice(["bofop", "idm", "profile"]),
 )
-@click.option("--samples", default=4, show_default=True, help="profile route only")
-@click.option("--seed", default=0, show_default=True, help="profile route only")
+@click.option("--seed", default=0, show_default=True,
+              help="accepted but read by no route: each one is deterministic")
 @_guarded
-def mpnn_forward(model_path, graph_path, via, samples, seed):
+def mpnn_forward(model_path, graph_path, via, seed):
     """Readout of a model on a graph through the chosen representation."""
     model = load_model(model_path)
     sig = load_graph(graph_path)
@@ -147,8 +148,7 @@ def mpnn_forward(model_path, graph_path, via, samples, seed):
     elif via == "idm":
         _, out = forward_idm(model, compute_idms(sig, model.depth))
     else:
-        sample = sample_profile_for_model(model, sig, count=samples, seed=seed)
-        out = forward_profile(model, sample)
+        out = forward_profile(model, sample_profile_for_model(model, sig))
     readout = [float(v) for v in np.atleast_1d(out)]
     click.echo(json.dumps({"via": via, "readout": readout}, sort_keys=True))
 

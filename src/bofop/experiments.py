@@ -83,6 +83,13 @@ _RULES = {
                     ("a real number, finite and > 0", lambda v: _is_real(v) and v > 0)),
 }
 
+# The most entries each kind reads from a list field; a config giving more
+# would have the rest silently ignored.
+_MOST_READ = {
+    **dict.fromkeys((CONVERGENCE, FINENESS, CONTINUITY), {"generators": 1}),
+    GENERALIZATION: {"generators": 2, "seeds": 1},
+}
+
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
@@ -114,6 +121,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not admits(value):
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
+        for name, most in _MOST_READ[self.kind].items():
+            given = len(getattr(self, name))
+            if given > most:
+                raise ValueError(f"{name} must be a list of at most {most} for "
+                                 f"{self.kind}, which reads no more, got {given}")
         for name in ("generators", "sizes", "seeds", "models", "labels"):
             items = tuple(dict(v) if isinstance(v, dict) else v for v in getattr(self, name))
             object.__setattr__(self, name, items)
@@ -350,7 +362,6 @@ def run_generalization(cfg: ExperimentConfig) -> tuple:
     for m in models:
         if m.output_dim != 1:
             raise ValueError("hypotheses must have scalar readouts")
-    gens = cfg.generators[:2]
     root = cfg.seeds[0]
 
     n_ref = 100 * max(cfg.sizes)
@@ -359,7 +370,7 @@ def run_generalization(cfg: ExperimentConfig) -> tuple:
     done = 0
     while done < n_ref:
         chunk = min(65536, n_ref - done)
-        ref_sums += _mixture_loss_sums(models, gens, cfg.labels, ref_rng, chunk)
+        ref_sums += _mixture_loss_sums(models, cfg.generators, cfg.labels, ref_rng, chunk)
         done += chunk
     reference = ref_sums / n_ref
 
@@ -369,7 +380,7 @@ def run_generalization(cfg: ExperimentConfig) -> tuple:
         devs = []
         for rep in range(cfg.decay_reps):
             rng = np.random.default_rng([root, 1, n, rep])
-            emp = _mixture_loss_sums(models, gens, cfg.labels, rng, n) / n
+            emp = _mixture_loss_sums(models, cfg.generators, cfg.labels, rng, n) / n
             sup = float(np.abs(emp - reference).max())
             rows.append(("decay", n, rep, sup))
             devs.append(sup)
@@ -386,7 +397,7 @@ def run_generalization(cfg: ExperimentConfig) -> tuple:
     violations = np.zeros(len(models), dtype=int)
     for rep in range(cfg.hoeffding_reps):
         rng = np.random.default_rng([root, 2, rep])
-        emp = _mixture_loss_sums(models, gens, cfg.labels, rng, cfg.hoeffding_n)
+        emp = _mixture_loss_sums(models, cfg.generators, cfg.labels, rng, cfg.hoeffding_n)
         emp /= cfg.hoeffding_n
         violations += (np.abs(emp - reference) > k).astype(int)
     bound = 2.0 * math.exp(-2.0 * k * k * cfg.hoeffding_n)

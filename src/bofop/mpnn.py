@@ -23,8 +23,8 @@ from .profiles import (
     ProfileSample,
     SignalMap,
     diagonal_marginalize,
+    p_distribution,
     push_signal,
-    sample_k_profile,
 )
 from .wl import Didm, IdmTree
 
@@ -287,26 +287,18 @@ def forward_profile(model: MpnnModel, sample: ProfileSample) -> np.ndarray:
     return model.readout.apply(mean)
 
 
-def sample_profile_for_model(
-    model: MpnnModel,
-    signal: FiniteBofopSignal,
-    count: int = 4,
-    seed=0,
-) -> ProfileSample:
-    """Sample a profile of the model's required order whose test slots carry
-    its hidden signals, so every diagonal restriction in forward_profile is
-    populated.
+def sample_profile_for_model(model: MpnnModel, signal: FiniteBofopSignal) -> ProfileSample:
+    """The one P-distribution whose test vectors are the model's hidden
+    signals, deepest layer first, so every diagonal restriction in
+    forward_profile is populated.
 
-    The injected channels are computed once by the plain signal pass; the
+    The hidden signals are computed once by the plain signal pass; the
     profile pass itself never touches the operator.
     """
     hiddens, _ = forward_bofop(model, signal)
-    blocks = [hiddens[l].T for l in range(model.depth - 1, -1, -1)]
-    if blocks:
-        inject = np.vstack(blocks)
-    else:
-        inject = np.zeros((0, signal.n))
-    return sample_k_profile(signal, required_profile_order(model), count, seed=seed, inject=inject)
+    blocks = [hidden.T for hidden in reversed(hiddens[:-1])]
+    vectors = np.vstack(blocks) if blocks else np.zeros((0, signal.n))
+    return ProfileSample(len(vectors), signal.d, (p_distribution(signal, vectors),))
 
 
 # ---------------------------------------------------------------- message models

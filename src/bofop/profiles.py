@@ -131,16 +131,14 @@ def sample_k_profile(
     count: int,
     strategy: str = MIXED,
     seed=0,
-    inject: np.ndarray | None = None,
 ) -> ProfileSample:
     """Draw count P-distributions of order k.
 
     mixed cycles uniform, +-1, color-cell indicator, and signal-channel test
     vectors, and pins the signal channels into member 0's trailing slots so
     a later diagonal restriction is not vacuously empty. signal_only is the
-    deterministic draw whose trailing d slots are the signal channels.
-    inject, when given, is a stack of extra channels written into the
-    trailing slots of every member; the leading slots stay strategy-drawn.
+    deterministic draw whose trailing d slots are the signal channels, so it
+    has one member whatever count and seed are.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -148,41 +146,30 @@ def sample_k_profile(
         raise ValueError("need count >= 1")
     if k < 0:
         raise ValueError("order k must be >= 0")
+    if strategy == SIGNAL_ONLY:
+        if k == 0:
+            vectors = np.zeros((0, signal.n))
+        elif k < signal.d:
+            raise ValueError("signal_only needs order k >= signal dimension d")
+        else:
+            vectors = np.vstack([np.zeros((k - signal.d, signal.n)), signal.features.T])
+        return ProfileSample(k, signal.d, (p_distribution(signal, vectors),))
     rng = np.random.default_rng(seed)
     colors = color_refinement_ids(signal)
     n_colors = int(colors.max()) + 1
-    if inject is not None:
-        inject = np.asarray(inject, dtype=float)
-        if inject.ndim != 2 or inject.shape[1] != signal.n or inject.shape[0] > k:
-            raise ValueError(f"inject must be shaped (m <= {k}, {signal.n})")
-        if inject.size and np.abs(inject).max() > 1.0 + DIAG_TOL:
-            raise ValueError("injected channels out of range [-1, 1]")
     mixed_modes = (UNIFORM, PM_ONE, WL_INDICATOR, "signal_channel")
     members = []
     for index in range(count):
-        if strategy == SIGNAL_ONLY:
-            if k == 0:
-                vectors = np.zeros((0, signal.n))
-            elif k < signal.d:
-                raise ValueError("signal_only needs order k >= signal dimension d")
+        rows = []
+        for _ in range(k):
+            if strategy == MIXED:
+                mode = mixed_modes[int(rng.integers(len(mixed_modes)))]
             else:
-                vectors = np.vstack(
-                    [np.zeros((k - signal.d, signal.n)), signal.features.T]
-                )
-        else:
-            free = k - (inject.shape[0] if inject is not None else 0)
-            rows = []
-            for slot in range(free):
-                if strategy == MIXED:
-                    mode = mixed_modes[int(rng.integers(len(mixed_modes)))]
-                else:
-                    mode = strategy
-                rows.append(_draw_vector(mode, rng, colors, n_colors, signal))
-            vectors = np.array(rows) if rows else np.zeros((0, signal.n))
-            if index == 0 and strategy == MIXED and inject is None and k >= signal.d:
-                vectors = np.vstack([vectors[: k - signal.d], signal.features.T])
-            if inject is not None:
-                vectors = np.vstack([vectors, inject])
+                mode = strategy
+            rows.append(_draw_vector(mode, rng, colors, n_colors, signal))
+        vectors = np.array(rows) if rows else np.zeros((0, signal.n))
+        if index == 0 and strategy == MIXED and k >= signal.d:
+            vectors = np.vstack([vectors[: k - signal.d], signal.features.T])
         members.append(p_distribution(signal, vectors))
     return ProfileSample(k, signal.d, _dedup(members))
 

@@ -284,7 +284,7 @@ def test_c05_three_way_forward_commutation():
         model = random_model(rng, d, dims)
         out_b = forward_bofop(model, sig)[1]
         out_i = forward_idm(model, compute_idms(sig, model.depth))[1]
-        out_p = forward_profile(model, sample_profile_for_model(model, sig, count=3, seed=case))
+        out_p = forward_profile(model, sample_profile_for_model(model, sig))
         spread = max(
             float(np.max(np.abs(out_b - out_i))),
             float(np.max(np.abs(out_b - out_p))),

@@ -236,6 +236,9 @@ def test_io_errors_exit_one(tmp_path):
         "models": [{"updates": [zero], "readout": zero}], "decay_reps": 1, "hoeffding_n": 4,
         "hoeffding_reps": 1,
     }
+    convergence = {"kind": "convergence", "generators": [ER8], "sizes": [4, 8], "depth": 1,
+                   "k_max": 1, "num_samples": 4}
+    continuity = {**fineness, "kind": "continuity", "model": {"updates": [zero], "readout": zero}}
     for name, base, bad in (
         ("nan_epsilon_action", fineness, {"epsilon_action": float("nan")}),
         ("inf_epsilon_action", fineness, {"epsilon_action": float("inf")}),
@@ -245,12 +248,22 @@ def test_io_errors_exit_one(tmp_path):
         ("fractional_sizes", generalization, {"sizes": [8.9, 16]}),
         ("non_integer_seeds", fineness, {"seeds": [True, 2.5]}),
         ("string_label", generalization, {"labels": ["1", -1]}),
+        # entries beyond those a kind reads would be silently ignored
+        ("two_convergence_generators", convergence, {"generators": [ER8, ER8]}),
+        ("two_fineness_generators", fineness, {"generators": [ER8, ER8]}),
+        ("two_continuity_generators", continuity, {"generators": [ER8, ER8]}),
+        ("three_generalization_generators", generalization, {"generators": [ER8] * 3}),
+        ("two_generalization_seeds", generalization, {"seeds": [0, 1]}),
     ):
         bad_configs[name] = {**base, **bad}
     named = {"nan_epsilon_action": "epsilon_action", "inf_epsilon_action": "epsilon_action",
              "negative_epsilon_didm": "epsilon_didm", "zero_epsilon_didm": "epsilon_didm",
              "negative_deviation_k": "deviation_k", "fractional_sizes": "sizes",
-             "non_integer_seeds": "seeds", "string_label": "labels"}
+             "non_integer_seeds": "seeds", "string_label": "labels",
+             "two_convergence_generators": "generators", "two_fineness_generators": "generators",
+             "two_continuity_generators": "generators",
+             "three_generalization_generators": "generators",
+             "two_generalization_seeds": "seeds"}
     for name, cfg in bad_configs.items():
         cfg_path.write_text(json.dumps(cfg))
         res = runner.invoke(
@@ -356,6 +369,27 @@ def test_fractional_counts_in_graph_and_spec_files_exit_one(bad, tmp_path):
         res = runner.invoke(main, ["graph", "generate", "--spec", str(spec_path), "--out", str(out)])
         assert_guarded_error(res)
         assert f"error: {field} must be an integer" in res.output
+    assert not out.exists()
+
+
+def test_integers_too_large_for_a_double_exit_one(tmp_path):
+    # float() of a JSON integer beyond the double range raises OverflowError;
+    # only real-valued fields, since a huge count would be looped over
+    runner = CliRunner()
+    big = 10 ** 400
+    graph = {"n": 2, "edges": [[0, 1, 1.0]], "aggregation": "sum", "features": [[0.1], [0.2]]}
+    path = tmp_path / "g.json"
+    for broken in ({**graph, "edges": [[0, 1, big]]}, {**graph, "features": [[big], [0.2]]}):
+        path.write_text(json.dumps(broken))
+        res = runner.invoke(main, ["wl", "run", str(path), "--rounds", "1"])
+        assert_guarded_error(res)
+        assert "error: int too large to convert to float" in res.output
+    spec_path = tmp_path / "spec.json"
+    out = tmp_path / "out.json"
+    spec_path.write_text(json.dumps({"kind": "erdos_renyi", "params": {"n": 4, "p": big}}))
+    res = runner.invoke(main, ["graph", "generate", "--spec", str(spec_path), "--out", str(out)])
+    assert_guarded_error(res)
+    assert "error: int too large to convert to float" in res.output
     assert not out.exists()
 
 
@@ -509,13 +543,13 @@ def _commands_reading(family, path, good_graph, good_model, out):
         return [["distance", "didm", path, good_graph, "--depth", "1"],
                 ["distance", "action", path, good_graph, "--k-max", "1", "--samples", "2"],
                 ["wl", "run", path, "--rounds", "1"],
-                *(["mpnn", "forward", "--model", good_model, "--graph", path, "--via", via,
-                   "--samples", "2"] for via in ("bofop", "idm", "profile"))]
+                *(["mpnn", "forward", "--model", good_model, "--graph", path, "--via", via]
+                  for via in ("bofop", "idm", "profile"))]
     if family.endswith("spec"):
         return [["graph", "generate", "--spec", path, "--out", out]]
     if family == "model":
-        return [["mpnn", "forward", "--model", path, "--graph", good_graph, "--via", via,
-                 "--samples", "2"] for via in ("bofop", "idm", "profile")]
+        return [["mpnn", "forward", "--model", path, "--graph", good_graph, "--via", via]
+                for via in ("bofop", "idm", "profile")]
     return [["experiment", "run", "--config", path, "--out", out]]
 
 

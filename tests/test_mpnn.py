@@ -266,7 +266,7 @@ def test_profile_matches_bofop_on_small_graphs():
     update = affine([[0.4, 0.4]])
     model = MpnnModel((identity_map(1), update), identity_map(1))
     for sig in (triangle(), k2(), p3([[0.1], [-0.5], [0.8]])):
-        sample = sample_profile_for_model(model, sig, count=3, seed=5)
+        sample = sample_profile_for_model(model, sig)
         out = forward_profile(model, sample)
         _, ref = forward_bofop(model, sig)
         assert np.allclose(out, ref, atol=1e-9)
@@ -293,7 +293,7 @@ def test_profile_three_way_commutation():
         model = random_model(rng, 2, dims)
         _, ref = forward_bofop(model, sig)
         _, via_idm = forward_idm(model, compute_idms(sig, depth))
-        sample = sample_profile_for_model(model, sig, count=3, seed=9)
+        sample = sample_profile_for_model(model, sig)
         via_profile = forward_profile(model, sample)
         assert np.allclose(via_idm, ref, atol=1e-9)
         assert np.allclose(via_profile, ref, atol=1e-9)
@@ -321,7 +321,7 @@ def test_profile_unpopulated_restriction():
     sample = sample_k_profile(sig, 3, 3, MIXED, seed=4)
     with pytest.raises(ValueError, match="injection"):
         forward_profile(model, sample)
-    injected = sample_profile_for_model(model, sig, count=3, seed=4)
+    injected = sample_profile_for_model(model, sig)
     out = forward_profile(model, injected)
     _, ref = forward_bofop(model, sig)
     assert np.allclose(out, ref, atol=1e-9)
@@ -340,19 +340,25 @@ def test_profile_readout_spread_error():
 
 
 def test_injected_sample_layout():
+    # one P-distribution whose test vectors are the hidden signals, deepest
+    # layer first, for models of depth 0 to 3
     rng = np.random.default_rng(5)
-    sig = random_bofop(rng, 5, d=1)
-    model = MpnnModel(
-        (identity_map(1), affine([[0.5, 0.2]]), affine([[0.3, 0.3]])),
-        identity_map(1),
-    )
-    hiddens, _ = forward_bofop(model, sig)
-    sample = sample_profile_for_model(model, sig, count=2, seed=3)
-    assert sample.k == required_profile_order(model) == 2
-    for member in sample.members:
-        vectors = member.provenance
-        assert np.allclose(vectors[0], hiddens[1].ravel())
-        assert np.allclose(vectors[1], hiddens[0].ravel())
+    sig = random_bofop(rng, 5, d=2)
+    for depth in range(4):
+        model = random_model(rng, 2, [int(rng.integers(1, 3)) for _ in range(depth + 1)])
+        hiddens, _ = forward_bofop(model, sig)
+        stacked = np.zeros((0, sig.n))
+        for hidden in hiddens[:-1]:
+            stacked = np.vstack([hidden.T, stacked])
+        sample = sample_profile_for_model(model, sig)
+        assert sample.k == required_profile_order(model) == len(stacked)
+        assert sample.d == 2
+        assert len(sample.members) == 1
+        member = sample.members[0]
+        expected = p_distribution(sig, stacked)
+        assert np.array_equal(member.provenance, stacked)
+        assert np.array_equal(member.measure.atoms, expected.measure.atoms)
+        assert np.array_equal(member.measure.weights, expected.measure.weights)
 
 
 # -------------------------------------------------------------- message models
@@ -511,9 +517,9 @@ def test_pushed_members_remain_valid_measures():
     rng = np.random.default_rng(43)
     sig = random_bofop(rng, 5, d=2)
     model = random_model(rng, 2, [2, 2])
-    sample = sample_profile_for_model(model, sig, count=3, seed=1)
+    sample = sample_profile_for_model(model, sig)
     out = forward_profile(model, sample)
     assert np.all(np.abs(out) <= 1.0)
-    resampled = sample_profile_for_model(model, sig, count=3, seed=1)
+    resampled = sample_profile_for_model(model, sig)
     for a, b in zip(sample.members, resampled.members):
         assert measures_equal(a.measure, b.measure)

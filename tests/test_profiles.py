@@ -115,7 +115,17 @@ def test_signal_only_is_deterministic_single_member():
     expected = p_distribution(b, b.features.T)
     assert measures_equal(sample.members[0].measure, expected.measure)
     again = sample_k_profile(b, 1, 5, SIGNAL_ONLY, seed=123)
-    assert len(again.members) == 1  # duplicates collapse
+    assert len(again.members) == 1  # built once, whatever count and seed are
+    assert measures_equal(again.members[0].measure, expected.measure)
+
+
+def test_signal_only_needs_order_at_least_d():
+    b = random_bofop(np.random.default_rng(15), 4, d=3)
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="signal_only needs order k >= signal dimension d"):
+            sample_k_profile(b, k, 1, SIGNAL_ONLY)
+    assert sample_k_profile(b, 0, 1, SIGNAL_ONLY).members[0].k == 0
+    assert sample_k_profile(b, 3, 1, SIGNAL_ONLY).members[0].k == 3
 
 
 def test_same_seed_same_sample():
@@ -145,17 +155,6 @@ def test_mixed_member_zero_carries_signal_channels():
     sample = sample_k_profile(b, 3, 6, MIXED, seed=2)
     restricted = diagonal_restrict(sample, 2)
     assert not restricted.restriction_empty
-
-
-def test_inject_pins_trailing_channels():
-    rng = np.random.default_rng(14)
-    b = random_bofop(rng, 5, d=1)
-    stack = rng.uniform(-1, 1, (2, 5))
-    sample = sample_k_profile(b, 3, 4, MIXED, seed=8, inject=stack)
-    for member in sample.members:
-        assert np.allclose(member.provenance[1:], stack)
-    with pytest.raises(ValueError):
-        sample_k_profile(b, 1, 4, MIXED, seed=8, inject=stack)
 
 
 # ---------------------------------------------------------------- push_signal
