@@ -55,11 +55,11 @@ def level_ot_term(x, y, level):
 
 
 def brute_level_ot(x, y, level):
-    ax, ay = x.measure.atoms, y.measure.atoms
+    ax, ay = x.atoms, y.atoms
     cost = np.array([[idm_distance(p, q, level - 1) for q in ay] for p in ax])
     if cost.size == 0:
         cost = cost.reshape(len(ax), len(ay))
-    return brute_unbalanced(cost, x.measure.weights, y.measure.weights)
+    return brute_unbalanced(cost, x.weights, y.weights)
 
 
 def main():
@@ -104,11 +104,8 @@ def main():
                     brute = brute_level_ot(x, y, lvl)
                     flag = "" if abs(mine - brute) <= 1e-7 else "  <-- MISMATCH"
                     print(f"  level {lvl} OT[{name}]: impl={mine:.8f} lp={brute:.8f}{flag}")
-                ma, mc = truncate(a, lvl).measure, truncate(c, lvl).measure
-                print(
-                    f"  level {lvl} masses: |a|={ma.total_mass:.4f} "
-                    f"|b|={truncate(b, lvl).measure.total_mass:.4f} |c|={mc.total_mass:.4f}"
-                )
+                ma, mb, mc = (truncate(t, lvl).weights.sum() for t in (a, b, c))
+                print(f"  level {lvl} masses: |a|={ma:.4f} |b|={mb:.4f} |c|={mc:.4f}")
             return
     print("no violation reproduced")
 

@@ -27,7 +27,7 @@ from .mpnn import (
     sample_profile_for_model,
 )
 from .operators import generate_graph_dict, load_graph, save_graph_dict, spec_from_dict
-from .profiles import MIXED, STRATEGIES, action_metric_estimate
+from .profiles import action_metric_estimate
 from .wl import (
     ClassicalWlNotApplicable,
     classical_wl_partition,
@@ -67,19 +67,13 @@ def distance():
 @click.argument("graph2", type=click.Path())
 @click.option("--k-max", default=4, show_default=True)
 @click.option("--samples", default=64, show_default=True)
-@click.option(
-    "--strategy",
-    default=MIXED,
-    show_default=True,
-    type=click.Choice(STRATEGIES),
-)
 @click.option("--seed", default=0, show_default=True)
 @_guarded
-def distance_action(graph1, graph2, k_max, samples, strategy, seed):
+def distance_action(graph1, graph2, k_max, samples, seed):
     """Truncated action-metric estimate between two graphs."""
     a = load_graph(graph1)
     b = load_graph(graph2)
-    est = action_metric_estimate(a, b, k_max, samples, seed=seed, strategy=strategy)
+    est = action_metric_estimate(a, b, k_max, samples, seed=seed)
     click.echo(json.dumps(est.as_dict(), sort_keys=True))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscreteMeasure, GROUND_L1, measures_equal, ot_unbalanced
-from .operators import FiniteBofopSignal, apply_operator
+from .operators import FiniteBofopSignal, apply_operator, real_array, real_value
 from .profiles import (
     ProfileSample,
     SignalMap,
@@ -219,7 +219,7 @@ def forward_idm(model: MpnnModel, didm: Didm):
         else:
             own = value(tree.parent)
             agg = np.zeros(own.shape[0])
-            for atom, w in zip(tree.measure.atoms, tree.measure.weights):
+            for atom, w in zip(tree.atoms, tree.weights):
                 agg = agg + w * value(atom)
             out = model.updates[tree.level].apply(np.concatenate([own, agg]))
         memo[key] = out
@@ -261,8 +261,8 @@ def forward_profile(model: MpnnModel, sample: ProfileSample) -> np.ndarray:
         current = diagonal_marginalize(current, d_prev)
         if not current.members:
             raise ValueError(
-                "diagonal restriction left no members; generate the sample with "
-                "signal injection (sample_profile_for_model)"
+                "diagonal restriction left no members; sample_profile_for_model "
+                "builds the sample from the model's hidden signals"
             )
         update = model.updates[layer]
         adapter = lambda y, u=update, d=d_prev: u.apply(np.concatenate([y[d:], y[:d]]))
@@ -407,10 +407,12 @@ def _map_from_dict(d: dict) -> CertifiedMap:
     unknown = set(d) - {"weight", "bias", "nonlinearity", "lipschitz"}
     if unknown:
         raise ValueError(f"unknown map keys: {sorted(unknown)}")
+    weight, bias = real_array(d["weight"], "weight"), real_array(d["bias"], "bias")
+    lipschitz = d.get("lipschitz")
     # keep a bare string intact so the constructor broadcasts it per coordinate
     return CertifiedMap(
-        d["weight"], d["bias"], d.get("nonlinearity", CLAMP),
-        d.get("lipschitz"),
+        weight, bias, d.get("nonlinearity", CLAMP),
+        None if lipschitz is None else real_value(lipschitz, "lipschitz"),
     )
 
 

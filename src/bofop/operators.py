@@ -39,6 +39,27 @@ def _integer(value, field) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
+def real_value(value, field) -> float:
+    """A real number read from a file, as a float. JSON integers and floats
+    pass; booleans, strings, nulls and lists are rejected with a message that
+    names the field, never converted."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        return float(value)
+    raise ValueError(f"{field} must be a real number, got {value!r}")
+
+
+def real_array(values, field) -> np.ndarray:
+    """A scalar or nested list of real numbers read from a file, as a float
+    array; every entry is held to real_value's rule. The rule is checked once
+    per distinct entry type, so a large kernel costs one pass in C."""
+    entries = np.asarray(values, dtype=object)
+    for kind in set(map(type, entries.flat)):
+        if not issubclass(kind, numbers.Real) or issubclass(kind, (bool, np.bool_)):
+            bad = next(v for v in entries.flat if type(v) is kind)
+            raise ValueError(f"{field} entries must be real numbers, got {bad!r}")
+    return entries.astype(float)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteBofopSignal:
     """Vertex weights, fiber kernel, and feature signal on n vertices.
@@ -96,7 +117,7 @@ def from_graph(n, edges, features, aggregation, vertex_weights=None) -> FiniteBo
             raise ValueError(f"edge must be (i, j, weight), got {edge!r}")
         i = _integer(edge[0], "edge vertex index")
         j = _integer(edge[1], "edge vertex index")
-        w = float(edge[2])
+        w = real_value(edge[2], "edge weight")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"vertex index out of range in edge {edge!r}")
         if w < 0 or not np.isfinite(w):
@@ -316,7 +337,7 @@ def edge_probabilities(kind, params, rng, batch):
     latents are drawn from rng."""
     n = _integer(params["n"], f"{kind} n")
     if kind == ERDOS_RENYI:
-        p = float(params["p"])
+        p = real_value(params["p"], "erdos_renyi p")
         if not (0.0 <= p <= 1.0) or n < 1:
             raise ValueError("erdos_renyi needs n >= 1 and p in [0, 1]")
         return n, p
@@ -338,12 +359,12 @@ def materialize_features(features, shape, rng) -> np.ndarray:
             raise ValueError(f"features dim must be >= 1, got {dim}")
         return rng.uniform(-1.0, 1.0, (*shape, dim))
     if mode == "constant":
-        value = np.atleast_1d(np.asarray(features.get("value", 1.0), dtype=float))
+        value = np.atleast_1d(real_array(features.get("value", 1.0), "features value"))
         out = np.tile(value, (*shape, 1))
     elif mode == "list":
         if len(shape) != 1:
             raise ValueError("list features describe one graph, not a batch")
-        out = np.asarray(features["values"], dtype=float)
+        out = real_array(features["values"], "features values")
         if out.ndim < 2:
             out = out.reshape(-1, 1)
         if out.shape[0] != shape[0]:
@@ -366,7 +387,8 @@ def _generate_structure(spec: GeneratorSpec, rng):
         edges = [[int(i), int(j), 1.0] for i, j in zip(iu[mask], ju[mask])]
         return "edges", n, edges
     if kind == EQUATOR:
-        m, eps = _integer(params["m"], "equator m"), float(params["band_eps"])
+        m = _integer(params["m"], "equator m")
+        eps = real_value(params["band_eps"], "equator band_eps")
         if m < 1 or not (0.0 < eps < 1.0):
             raise ValueError("equator needs m >= 1 and band_eps in (0, 1)")
         points = rng.normal(size=(m, 3))
@@ -433,17 +455,20 @@ def bofop_from_graph_dict(d: dict) -> FiniteBofopSignal:
     n = _integer(d["n"], "graph n")
     if n < 1:
         raise ValueError(f"graph needs n >= 1, got {n}")
+    features = real_array(d["features"], "features")
     vertex_weights = d.get("vertex_weights")
+    if vertex_weights is not None:
+        vertex_weights = real_array(vertex_weights, "vertex_weights")
     if "kernel" in d:
         if "edges" in d or "aggregation" in d:
             raise ValueError("graph dict must carry either a kernel or edges, not both")
-        kernel = np.asarray(d["kernel"], dtype=float)
+        kernel = real_array(d["kernel"], "kernel")
         if np.any(kernel < 0):
             raise ValueError("kernel entries must be nonnegative")
         if vertex_weights is None:
             vertex_weights = np.full(n, 1.0 / n)
-        return FiniteBofopSignal(n, vertex_weights, kernel, np.asarray(d["features"], dtype=float))
-    return from_graph(n, d["edges"], d["features"], d["aggregation"], vertex_weights)
+        return FiniteBofopSignal(n, vertex_weights, kernel, features)
+    return from_graph(n, d["edges"], features, d["aggregation"], vertex_weights)
 
 
 def generate(spec: GeneratorSpec) -> FiniteBofopSignal:

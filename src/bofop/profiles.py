@@ -6,9 +6,11 @@ x -> (v_1(x)..v_k(x), (Av_1)(x)..(Av_k)(x), f(x)) for test vectors v_i with
 entries in [-1, 1]; a profile sample is a finite deduplicated set of them.
 Random test vectors are drawn per refinement color, not per vertex, so a
 vertex relabeling permutes every draw with the vertices and sampled profiles
-of relabeled signals compare equal. The estimator reports its sample count,
-strategy, and truncation tail alongside the value; it is neither an upper
-nor a lower bound of the true set distance.
+of relabeled signals compare equal. There is one sampler, MIXED: each test
+vector is uniform per color, +-1 per color, one color cell's indicator, or
+one signal channel. The estimator reports its sample count, sampler name,
+and truncation tail alongside the value; it is neither an upper nor a lower
+bound of the true set distance.
 """
 
 from __future__ import annotations
@@ -30,11 +32,6 @@ DIAG_TOL = 1e-12
 RANGE_TOL = 1e-9
 
 MIXED = "mixed"
-SIGNAL_ONLY = "signal_only"
-UNIFORM = "uniform"
-PM_ONE = "pm_one"
-WL_INDICATOR = "wl_indicator"
-STRATEGIES = (MIXED, SIGNAL_ONLY, UNIFORM, PM_ONE, WL_INDICATOR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,65 +107,37 @@ def _dedup(members):
     return tuple(kept)
 
 
-def _draw_vector(mode, rng, colors, n_colors, signal):
-    if mode == UNIFORM:
-        values = rng.uniform(-1.0, 1.0, n_colors)
-        return values[colors]
-    if mode == PM_ONE:
-        values = rng.integers(0, 2, n_colors) * 2.0 - 1.0
-        return values[colors]
-    if mode == WL_INDICATOR:
-        cell = int(rng.integers(n_colors))
-        return (colors == cell).astype(float)
-    # signal channel
-    channel = int(rng.integers(signal.d))
-    return signal.features[:, channel].copy()
+def _draw_vector(rng, colors, n_colors, signal):
+    """One test vector: uniform per color, +-1 per color, one color cell's
+    indicator, or one signal channel, chosen by a single draw."""
+    mode = int(rng.integers(4))
+    if mode == 0:
+        return rng.uniform(-1.0, 1.0, n_colors)[colors]
+    if mode == 1:
+        return (rng.integers(0, 2, n_colors) * 2.0 - 1.0)[colors]
+    if mode == 2:
+        return (colors == int(rng.integers(n_colors))).astype(float)
+    return signal.features[:, int(rng.integers(signal.d))].copy()
 
 
-def sample_k_profile(
-    signal: FiniteBofopSignal,
-    k: int,
-    count: int,
-    strategy: str = MIXED,
-    seed=0,
-) -> ProfileSample:
-    """Draw count P-distributions of order k.
+def sample_k_profile(signal: FiniteBofopSignal, k: int, count: int, seed=0) -> ProfileSample:
+    """Draw count P-distributions of order k with the MIXED sampler.
 
-    mixed cycles uniform, +-1, color-cell indicator, and signal-channel test
-    vectors, and pins the signal channels into member 0's trailing slots so
-    a later diagonal restriction is not vacuously empty. signal_only is the
-    deterministic draw whose trailing d slots are the signal channels, so it
-    has one member whatever count and seed are.
+    Member 0 carries the signal channels in its trailing slots, when k >= d,
+    so a later diagonal restriction is not vacuously empty.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     if count < 1:
         raise ValueError("need count >= 1")
     if k < 0:
         raise ValueError("order k must be >= 0")
-    if strategy == SIGNAL_ONLY:
-        if k == 0:
-            vectors = np.zeros((0, signal.n))
-        elif k < signal.d:
-            raise ValueError("signal_only needs order k >= signal dimension d")
-        else:
-            vectors = np.vstack([np.zeros((k - signal.d, signal.n)), signal.features.T])
-        return ProfileSample(k, signal.d, (p_distribution(signal, vectors),))
     rng = np.random.default_rng(seed)
     colors = color_refinement_ids(signal)
     n_colors = int(colors.max()) + 1
-    mixed_modes = (UNIFORM, PM_ONE, WL_INDICATOR, "signal_channel")
     members = []
     for index in range(count):
-        rows = []
-        for _ in range(k):
-            if strategy == MIXED:
-                mode = mixed_modes[int(rng.integers(len(mixed_modes)))]
-            else:
-                mode = strategy
-            rows.append(_draw_vector(mode, rng, colors, n_colors, signal))
+        rows = [_draw_vector(rng, colors, n_colors, signal) for _ in range(k)]
         vectors = np.array(rows) if rows else np.zeros((0, signal.n))
-        if index == 0 and strategy == MIXED and k >= signal.d:
+        if index == 0 and k >= signal.d:
             vectors = np.vstack([vectors[: k - signal.d], signal.features.T])
         members.append(p_distribution(signal, vectors))
     return ProfileSample(k, signal.d, _dedup(members))
@@ -247,11 +216,10 @@ class ActionMetricEstimate:
     tail_bound: float
     k_max: int
     num_samples: int
-    strategy: str
     seed: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "strategy": MIXED}
 
 
 def action_metric_estimate(
@@ -260,7 +228,6 @@ def action_metric_estimate(
     k_max: int = 4,
     num_samples: int = 64,
     seed: int = 0,
-    strategy: str = MIXED,
 ) -> ActionMetricEstimate:
     """Truncated sum over orders of 2^-k times the sampled profile distance.
 
@@ -278,13 +245,11 @@ def action_metric_estimate(
     per_k = []
     value = 0.0
     for k in range(k_max + 1):
-        s1 = sample_k_profile(b1, k, num_samples, strategy, seed=[seed, k])
-        s2 = sample_k_profile(b2, k, num_samples, strategy, seed=[seed, k])
+        s1 = sample_k_profile(b1, k, num_samples, seed=[seed, k])
+        s2 = sample_k_profile(b2, k, num_samples, seed=[seed, k])
         h = hausdorff_set_distance(s1.measures(), s2.measures(), GROUND_L1)
         per_k.append(h)
         value += 2.0 ** (-k) * h
     c = max(1.0, infty_norm(b1), infty_norm(b2))
     tail = 2.0 ** (-k_max) * c * (4 * k_max + 8 + 2 * b1.d)
-    return ActionMetricEstimate(
-        value, tuple(per_k), tail, k_max, num_samples, strategy, seed
-    )
+    return ActionMetricEstimate(value, tuple(per_k), tail, k_max, num_samples, seed)

@@ -28,39 +28,29 @@ class ClassicalWlNotApplicable(ValueError):
 
 
 @dataclass(eq=False)
-class IdmMeasure:
-    """A measure whose atoms are hash-consed trees (references, not points)."""
-
-    atoms: tuple
-    weights: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-
-@dataclass(eq=False)
 class IdmTree:
     """One iterated-measure class: feature block plus the chain of level measures.
 
-    parent is the truncation to the previous level; measure is the top-level
-    one. Structural equality is object identity thanks to hash-consing, so
-    these are compared and memoized by id.
+    parent is the truncation to the previous level; atoms (hash-consed trees
+    of the previous level, references rather than points) and weights are the
+    top-level measure. Structural equality is object identity thanks to
+    hash-consing, so these are compared and memoized by id.
     """
 
     level: int
     feature: np.ndarray
     parent: IdmTree | None = None
-    measure: IdmMeasure | None = None
+    atoms: tuple = ()
+    weights: np.ndarray | None = None
     index: int = 0
 
     @property
     def level_measures(self) -> list:
-        """Measures for levels 1..L, reconstructed from the truncation chain."""
+        """(atoms, weights) for levels 1..L, read off the truncation chain."""
         chain = []
         node = self
         while node.level >= 1:
-            chain.append(node.measure)
+            chain.append((node.atoms, node.weights))
             node = node.parent
         return chain[::-1]
 
@@ -109,7 +99,8 @@ class IdmUniverse:
                 level=parent.level + 1,
                 feature=parent.feature,
                 parent=parent,
-                measure=IdmMeasure(atoms, weights),
+                atoms=atoms,
+                weights=weights,
                 index=index,
             ),
         )
@@ -179,9 +170,8 @@ def _distance_memo(a: IdmTree, b: IdmTree, memo) -> float:
     if a.level == 0:
         val = float(np.sqrt(((a.feature - b.feature) ** 2).sum()))
     else:
-        ma, mb = a.measure, b.measure
         val = _distance_memo(a.parent, b.parent, memo) + _class_transport(
-            ma.atoms, ma.weights, mb.atoms, mb.weights, memo
+            a.atoms, a.weights, b.atoms, b.weights, memo
         )
     memo[key] = val
     return val

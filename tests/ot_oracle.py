@@ -7,7 +7,9 @@ inputs get the same virtual-source augmentation the definition forces (free
 row absorbing the mass gap) and the constant mass penalty; the solver here is
 pure enumeration, nothing is shared with the package's transport simplex.
 
-Only for tiny instances: the loop visits C(m*n, m+n-1) subsets.
+Only for tiny instances: the trees of each shape are found once among all
+C(m*n, m+n-1) cell subsets and cached with their leaf-stripping schedules,
+so one instance costs m+n-1 batched steps over every tree.
 """
 
 import itertools
@@ -25,75 +27,99 @@ def _cost_matrix(mu, nu, ground):
     ]
 
 
-def _tree_flow(edges, supply_rows, supply_cols):
-    """Solve the tree system by leaf stripping; None if any flow is negative."""
-    m = len(supply_rows)
-    n = len(supply_cols)
-    remaining = list(supply_rows) + list(supply_cols)
+_TREES = {}
+
+
+def _strip_order(cells, m, n):
+    """The order in which leaf stripping solves one tree: (node, slot, other)
+    per step, where slot is the stripped cell's position in cells. It depends
+    on the tree alone, not on the marginals."""
     adj = {node: [] for node in range(m + n)}
-    for idx, (i, j) in enumerate(edges):
-        adj[i].append((idx, m + j))
-        adj[m + j].append((idx, i))
-    flows = [None] * len(edges)
+    for slot, cell in enumerate(cells):
+        i, j = divmod(int(cell), n)
+        adj[i].append((slot, m + j))
+        adj[m + j].append((slot, i))
     active = {node: len(neigh) for node, neigh in adj.items()}
     leaves = [node for node, deg in active.items() if deg == 1]
-    used = [False] * len(edges)
+    used = [False] * len(cells)
+    order = []
     while leaves:
         node = leaves.pop()
         if active[node] != 1:
             continue
-        idx, other = next(
-            (idx, other) for idx, other in adj[node] if not used[idx]
-        )
-        flow = remaining[node]
-        if flow < -1e-9:
-            return None
-        flows[idx] = max(flow, 0.0)
-        used[idx] = True
-        remaining[node] = 0.0
-        remaining[other] -= flow
+        slot, other = next((slot, other) for slot, other in adj[node] if not used[slot])
+        order.append((node, slot, other))
+        used[slot] = True
         active[node] -= 1
         active[other] -= 1
         if active[other] == 1:
             leaves.append(other)
-    if any(f is None for f in flows):
-        return None
-    return flows
+    return order
+
+
+def spanning_trees(m, n):
+    """Every spanning tree of the complete bipartite support graph K_{m,n},
+    cached per shape: (cells, steps).
+
+    cells[t] lists tree t's m+n-1 flat cells i*n + j in increasing order, the
+    trees in the lexicographic order of their cell subsets. A cell subset is
+    a tree exactly when its incidence system (row sums and the first n-1
+    column sums) is nonsingular. steps[s] holds step s of every tree's
+    leaf-stripping schedule as three flat index arrays (node, slot, other).
+    """
+    key = (m, n)
+    if key not in _TREES:
+        size = m + n - 1
+        subsets = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(m * n), size)),
+            dtype=np.intp,
+        ).reshape(-1, size)
+        cells = []
+        # in chunks, so a 5 x 4 shape's 125,970 systems never sit in memory at once
+        for chunk in np.array_split(subsets, -(-len(subsets) // 8192)):
+            incidence = np.zeros((len(chunk), size + 1, size))
+            slot = np.broadcast_to(np.arange(size), chunk.shape)
+            batch = np.broadcast_to(np.arange(len(chunk))[:, None], chunk.shape)
+            incidence[batch, chunk // n, slot] = 1.0
+            incidence[batch, m + chunk % n, slot] = 1.0
+            # drop the last column's equation; a tree's system is unimodular
+            cells.append(chunk[np.abs(np.linalg.det(incidence[:, :size])) > 0.5])
+        cells = np.concatenate(cells)
+        order = np.array([_strip_order(tree, m, n) for tree in cells], dtype=np.intp)
+        # as flat positions in every tree's row of marginals (m + n long) or
+        # flows (size long), laid out tree after tree
+        widths = np.array([m + n, size, m + n])
+        flat = order.reshape(len(cells), size, 3) + np.arange(len(cells))[:, None, None] * widths
+        _TREES[key] = (cells, np.ascontiguousarray(flat.transpose(1, 2, 0)))
+    return _TREES[key]
 
 
 def enumerate_tree_costs(a, b, cost):
-    """(min cost over feasible spanning trees, number of spanning trees)."""
+    """(min cost over feasible spanning trees, number of spanning trees).
+
+    Every tree is solved at once, one leaf-stripping step per cell: a leaf's
+    remaining marginal is its cell's flow, which is taken off the other end.
+    A tree is feasible when no flow is below -1e-9. Flows are clamped at 0
+    and the cost is summed in cell order.
+    """
     m = len(a)
     n = len(b)
-    cells = [(i, j) for i in range(m) for j in range(n)]
-    best = None
-    n_trees = 0
-    for subset in itertools.combinations(cells, m + n - 1):
-        parent = list(range(m + n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for i, j in subset:
-            ri, rj = find(i), find(m + j)
-            if ri == rj:
-                acyclic = False
-                break
-            parent[ri] = rj
-        if not acyclic:
-            continue
-        n_trees += 1
-        flows = _tree_flow(subset, a, b)
-        if flows is None:
-            continue
-        total = sum(f * cost[i][j] for f, (i, j) in zip(flows, subset))
-        if best is None or total < best:
-            best = total
-    return best, n_trees
+    cells, steps = spanning_trees(m, n)
+    remaining = np.tile(np.array(list(a) + list(b), dtype=float), len(cells))
+    flows = np.empty(cells.size)
+    for node, slot, other in steps:
+        flow = remaining[node]
+        flows[slot] = flow
+        remaining[other] -= flow
+    flows = flows.reshape(cells.shape)
+    feasible = np.all(flows >= -1e-9, axis=1)
+    flows = np.maximum(flows[feasible], 0.0)
+    unit_costs = np.asarray(cost, dtype=float).reshape(m * n)[cells[feasible]]
+    totals = np.zeros(len(flows))
+    for slot in range(cells.shape[1]):
+        totals = totals + flows[:, slot] * unit_costs[:, slot]
+    best = float(totals.min()) if len(totals) else None
+    return best, len(cells)
 
 
 def transport_oracle(a, b, cost):

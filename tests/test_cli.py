@@ -77,6 +77,8 @@ def test_graph_generate_and_distances(tmp_path):
     assert res.exit_code == 0, res.output
     parsed = json.loads(res.output)
     assert parsed["value"] >= 0 and parsed["tail_bound"] > 0
+    # one sampler, still named in the output
+    assert parsed["strategy"] == "mixed"
 
     res = runner.invoke(main, ["distance", "didm", str(g1), str(g1), "--depth", "2"])
     assert json.loads(res.output)["didm_distance"] == 0.0
@@ -370,6 +372,65 @@ def test_fractional_counts_in_graph_and_spec_files_exit_one(bad, tmp_path):
         assert_guarded_error(res)
         assert f"error: {field} must be an integer" in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["0.5", True])
+def test_string_and_boolean_reals_exit_one(bad, tmp_path):
+    # a real read from a file must be a JSON number: "0.5" is not parsed and
+    # true is not 1.0; the error names the field
+    runner = CliRunner()
+    graph = {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 0.5]], "aggregation": "sum",
+             "features": [[1.0], [0.2], [-0.3]], "vertex_weights": [0.4, 0.3, 0.3]}
+    kernel_graph = {"n": 2, "kernel": [[0.0, 1.0], [1.0, 0.0]], "features": [[0.5], [-0.5]]}
+    # converted, these vertex weights would sum to 1
+    vertex_weights = [bad, 0.25, 0.25] if bad == "0.5" else [bad, 0.0, 0.0]
+    graphs = [
+        ("edge weight", {**graph, "edges": [[0, 1, 1.0], [1, 2, bad]]}),
+        ("features", {**graph, "features": [[1.0], [bad], [-0.3]]}),
+        ("vertex_weights", {**graph, "vertex_weights": vertex_weights}),
+        ("kernel", {**kernel_graph, "kernel": [[0.0, bad], [1.0, 0.0]]}),
+        ("features", {**kernel_graph, "features": [[0.5], [bad]]}),
+    ]
+    path = tmp_path / "g.json"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(graph))
+    for field, broken in graphs:
+        path.write_text(json.dumps(broken))
+        for args in (["wl", "run", str(path), "--rounds", "1"],
+                     ["distance", "didm", str(path), str(good), "--depth", "1"]):
+            res = runner.invoke(main, args)
+            assert_guarded_error(res)
+            assert f"error: {field}" in res.output, (field, res.output)
+    er4 = {"kind": "erdos_renyi", "params": {"n": 4, "p": 0.5}}
+    specs = [
+        ("erdos_renyi p", {**er4, "params": {"n": 4, "p": bad}}),
+        ("equator band_eps", {"kind": "equator", "params": {"m": 6, "band_eps": bad}}),
+        ("features value", {**er4, "features": {"mode": "constant", "value": bad}}),
+        ("features value", {**er4, "features": {"mode": "constant", "value": [0.5, bad]}}),
+        ("features values", {**er4, "features": {"mode": "list",
+                                                 "values": [[0.1], [bad], [0.3], [0.4]]}}),
+    ]
+    spec_path = tmp_path / "spec.json"
+    out = tmp_path / "out.json"
+    for field, spec in specs:
+        spec_path.write_text(json.dumps(spec))
+        res = runner.invoke(main, ["graph", "generate", "--spec", str(spec_path), "--out", str(out)])
+        assert_guarded_error(res)
+        assert f"error: {field}" in res.output, (field, res.output)
+    assert not out.exists()
+    layer = {"weight": [[0.5]], "bias": [0.1]}
+    models = [
+        ("weight", {**layer, "weight": [[bad]]}),
+        ("bias", {**layer, "bias": [bad]}),
+        ("lipschitz", {**layer, "lipschitz": bad}),
+    ]
+    model_path = tmp_path / "m.json"
+    for field, broken in models:
+        model_path.write_text(json.dumps({"updates": [broken], "readout": layer}))
+        res = runner.invoke(main, ["mpnn", "forward", "--model", str(model_path),
+                                   "--graph", str(good), "--via", "bofop"])
+        assert_guarded_error(res)
+        assert f"error: {field}" in res.output, (field, res.output)
 
 
 def test_integers_too_large_for_a_double_exit_one(tmp_path):

@@ -31,7 +31,7 @@ from bofop.operators import (
     generate,
     permute_bofop,
 )
-from bofop.profiles import MIXED, ProfileSample, p_distribution, sample_k_profile
+from bofop.profiles import ProfileSample, p_distribution, sample_k_profile
 from bofop.wl import compute_idms
 
 
@@ -256,7 +256,7 @@ def test_idm_matches_bofop_randomly():
 def test_profile_depth_zero_any_sample():
     sig = triangle([[0.2], [0.4], [0.9]])
     model = MpnnModel((identity_map(1),), identity_map(1))
-    sample = sample_k_profile(sig, 2, 4, MIXED, seed=1)
+    sample = sample_k_profile(sig, 2, 4, seed=1)
     out = forward_profile(model, sample)
     _, ref = forward_bofop(model, sig)
     assert out == pytest.approx(ref, abs=1e-12)
@@ -277,7 +277,7 @@ def test_profile_mixed_member_zero_suffices_for_identity_first_layer():
     # on the diagonal, so a plain mixed sample survives restriction
     sig = triangle([[0.3], [0.3], [-0.2]])
     model = MpnnModel((identity_map(1), affine([[0.5, 0.2]])), identity_map(1))
-    sample = sample_k_profile(sig, 3, 4, MIXED, seed=2)
+    sample = sample_k_profile(sig, 3, 4, seed=2)
     out = forward_profile(model, sample)
     _, ref = forward_bofop(model, sig)
     assert np.allclose(out, ref, atol=1e-9)
@@ -306,7 +306,7 @@ def test_profile_order_requirement():
     )
     assert required_profile_order(model) == 3
     sig = triangle()
-    small = sample_k_profile(sig, 2, 2, MIXED, seed=0)
+    small = sample_k_profile(sig, 2, 2, seed=0)
     with pytest.raises(ValueError, match="too small"):
         forward_profile(model, small)
 
@@ -318,8 +318,8 @@ def test_profile_unpopulated_restriction():
         (CertifiedMap(np.eye(1), np.zeros(1), TANH), affine([[0.5, 0.2]])),
         identity_map(1),
     )
-    sample = sample_k_profile(sig, 3, 3, MIXED, seed=4)
-    with pytest.raises(ValueError, match="injection"):
+    sample = sample_k_profile(sig, 3, 3, seed=4)
+    with pytest.raises(ValueError, match="builds the sample from the model's hidden signals"):
         forward_profile(model, sample)
     injected = sample_profile_for_model(model, sig)
     out = forward_profile(model, injected)

@@ -1,7 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bofop.measures as measures_module
+import bofop.profiles as profiles_module
 
 from bofop.measures import (
     GROUND_L1,
@@ -21,8 +25,6 @@ from bofop.operators import (
     permute_bofop,
 )
 from bofop.profiles import (
-    MIXED,
-    SIGNAL_ONLY,
     ActionMetricEstimate,
     PDistribution,
     ProfileSample,
@@ -34,6 +36,7 @@ from bofop.profiles import (
     push_signal,
     sample_k_profile,
 )
+from bofop.wl import color_refinement_ids
 
 TOL = 1e-9
 
@@ -96,7 +99,7 @@ def test_test_vector_range_enforced():
 def test_atom_blocks_and_norm_bound():
     rng = np.random.default_rng(4)
     b = random_bofop(rng, 6, d=2)
-    sample = sample_k_profile(b, 3, 12, MIXED, seed=5)
+    sample = sample_k_profile(b, 3, 12, seed=5)
     r = infty_norm(b)
     for member in sample.members:
         tests, aggregated, sig = member.blocks()
@@ -109,50 +112,113 @@ def test_atom_blocks_and_norm_bound():
 
 
 def test_signal_only_is_deterministic_single_member():
+    # at k == d a one-member sample is member 0 alone, whose slots are all
+    # signal channels: the signal-only P-distribution, whatever the seed
     b = from_graph(3, [[0, 1, 1.0]], np.array([[0.2], [-0.4], [0.9]]), SUM)
-    sample = sample_k_profile(b, 1, 1, SIGNAL_ONLY, seed=9)
-    assert len(sample.members) == 1
-    expected = p_distribution(b, b.features.T)
-    assert measures_equal(sample.members[0].measure, expected.measure)
-    again = sample_k_profile(b, 1, 5, SIGNAL_ONLY, seed=123)
-    assert len(again.members) == 1  # built once, whatever count and seed are
-    assert measures_equal(again.members[0].measure, expected.measure)
-
-
-def test_signal_only_needs_order_at_least_d():
-    b = random_bofop(np.random.default_rng(15), 4, d=3)
-    for k in (1, 2):
-        with pytest.raises(ValueError, match="signal_only needs order k >= signal dimension d"):
-            sample_k_profile(b, k, 1, SIGNAL_ONLY)
-    assert sample_k_profile(b, 0, 1, SIGNAL_ONLY).members[0].k == 0
-    assert sample_k_profile(b, 3, 1, SIGNAL_ONLY).members[0].k == 3
+    expected = ProfileSample(1, 1, (p_distribution(b, b.features.T),))
+    for seed in (9, 123):
+        sample = sample_k_profile(b, 1, 1, seed=seed)
+        assert len(sample.members) == 1
+        assert measures_equal(sample.members[0].measure, expected.members[0].measure)
+        assert np.array_equal(sample.members[0].provenance, b.features.T)
 
 
 def test_same_seed_same_sample():
     rng = np.random.default_rng(7)
     b = random_bofop(rng, 7, d=2)
-    s1 = sample_k_profile(b, 2, 10, MIXED, seed=3)
-    s2 = sample_k_profile(b, 2, 10, MIXED, seed=3)
+    s1 = sample_k_profile(b, 2, 10, seed=3)
+    s2 = sample_k_profile(b, 2, 10, seed=3)
     assert sets_equal(s1.members, s2.members)
-    s3 = sample_k_profile(b, 2, 10, MIXED, seed=4)
+    s3 = sample_k_profile(b, 2, 10, seed=4)
     assert not sets_equal(s1.members, s3.members)
 
 
-def test_sampling_is_permutation_covariant():
+def test_sampling_is_permutation_covariant(monkeypatch):
     rng = np.random.default_rng(11)
     b = random_bofop(rng, 8, d=2)
     perm = rng.permutation(8)
     permuted = permute_bofop(b, perm)
-    for strategy in ("mixed", "uniform", "pm_one", "wl_indicator"):
-        s = sample_k_profile(b, 2, 8, strategy, seed=21)
-        sp = sample_k_profile(permuted, 2, 8, strategy, seed=21)
-        assert sets_equal(s.members, sp.members), strategy
+    modes = []
+    draw = profiles_module._draw_vector
+
+    def spy(rng, colors, n_colors, signal):
+        # peek at the mode draw on a copy of the generator's state
+        modes.append(int(np.random.Generator(copy.deepcopy(rng.bit_generator)).integers(4)))
+        return draw(rng, colors, n_colors, signal)
+
+    monkeypatch.setattr(profiles_module, "_draw_vector", spy)
+    s = sample_k_profile(b, 2, 8, seed=21)
+    # uniform, +-1, color cell and signal channel all occur in this sample
+    assert set(modes) == {0, 1, 2, 3}
+    sp = sample_k_profile(permuted, 2, 8, seed=21)
+    assert sets_equal(s.members, sp.members)
+
+
+def reference_mixed_sample(signal, k, count, seed):
+    """The mixed loop as it stood beside the four single-mode strategies,
+    kept apart from the package as its reference: the mode, then the
+    vector's own draws, k times per member; member 0's trailing slots hold
+    the signal channels; members equal as measures are kept once."""
+    rng = np.random.default_rng(seed)
+    colors = color_refinement_ids(signal)
+    n_colors = int(colors.max()) + 1
+    modes = ("uniform", "pm_one", "wl_indicator", "signal_channel")
+    members = []
+    for index in range(count):
+        rows = []
+        for _ in range(k):
+            mode = modes[int(rng.integers(len(modes)))]
+            if mode == "uniform":
+                values = rng.uniform(-1.0, 1.0, n_colors)
+                rows.append(values[colors])
+            elif mode == "pm_one":
+                values = rng.integers(0, 2, n_colors) * 2.0 - 1.0
+                rows.append(values[colors])
+            elif mode == "wl_indicator":
+                cell = int(rng.integers(n_colors))
+                rows.append((colors == cell).astype(float))
+            else:
+                channel = int(rng.integers(signal.d))
+                rows.append(signal.features[:, channel].copy())
+        vectors = np.array(rows) if rows else np.zeros((0, signal.n))
+        if index == 0 and k >= signal.d:
+            vectors = np.vstack([vectors[: k - signal.d], signal.features.T])
+        member = p_distribution(signal, vectors)
+        if not any(measures_equal(member.measure, m.measure) for m in members):
+            members.append(member)
+    return members
+
+
+@st.composite
+def small_signals(draw):
+    """Signals on up to 6 vertices; features and edge weights come from few
+    values, so colour classes are often shared and dedup has work to do."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 3))
+    level = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    features = draw(st.lists(st.lists(level, min_size=d, max_size=d), min_size=n, max_size=n))
+    weight = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+    edges = [[i, j, draw(weight)] for i in range(n) for j in range(i + 1, n)]
+    return from_graph(n, edges, np.array(features), SUM)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_signals(), st.integers(0, 4), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_sampler_matches_the_frozen_mixed_loop_bit_for_bit(signal, k, count, seed):
+    sample = sample_k_profile(signal, k, count, seed=seed)
+    reference = reference_mixed_sample(signal, k, count, seed)
+    assert (sample.k, sample.d) == (k, signal.d)
+    assert len(sample.members) == len(reference)
+    for got, want in zip(sample.members, reference):
+        assert np.array_equal(got.provenance, want.provenance)
+        assert np.array_equal(got.measure.atoms, want.measure.atoms)
+        assert np.array_equal(got.measure.weights, want.measure.weights)
 
 
 def test_mixed_member_zero_carries_signal_channels():
     rng = np.random.default_rng(13)
     b = random_bofop(rng, 6, d=2)
-    sample = sample_k_profile(b, 3, 6, MIXED, seed=2)
+    sample = sample_k_profile(b, 3, 6, seed=2)
     restricted = diagonal_restrict(sample, 2)
     assert not restricted.restriction_empty
 
@@ -161,7 +227,7 @@ def test_mixed_member_zero_carries_signal_channels():
 
 
 def test_push_identity_and_constant():
-    sample = sample_k_profile(TRIANGLE, 1, 4, MIXED, seed=1)
+    sample = sample_k_profile(TRIANGLE, 1, 4, seed=1)
     same = push_signal(sample, SignalMap(lambda y: y, 1, 1, 1.0))
     assert sets_equal(sample.members, same.members)
     const = push_signal(sample, SignalMap(lambda y: np.array([0.25]), 1, 1, 0.0))
@@ -177,7 +243,7 @@ def test_push_halves_indicator_example():
 
 
 def test_push_range_violation_raises():
-    sample = sample_k_profile(TRIANGLE, 1, 2, MIXED, seed=1)
+    sample = sample_k_profile(TRIANGLE, 1, 2, seed=1)
     with pytest.raises(ValueError):
         push_signal(sample, SignalMap(lambda y: 3.0 * y + 2.0, 1, 1, 3.0))
 
@@ -188,7 +254,7 @@ def test_push_commutes_with_representative():
     mat = np.array([[0.3, 0.2], [-0.1, 0.4]])
     bias = np.array([0.2, -0.1])
     phi = SignalMap(lambda y: mat @ y + bias, 2, 2, float(np.abs(mat).sum(axis=0).max()))
-    sample = sample_k_profile(b, 2, 8, MIXED, seed=6)
+    sample = sample_k_profile(b, 2, 8, seed=6)
     pushed = push_signal(sample, phi)
     relabeled = FiniteBofopSignal(
         b.n, b.vertex_weights, b.kernel, (mat @ b.features.T).T + bias
@@ -203,7 +269,7 @@ def test_push_commutes_with_representative():
 
 
 def test_restrict_keeps_signal_only_members():
-    sample = sample_k_profile(TRIANGLE, 1, 3, SIGNAL_ONLY, seed=0)
+    sample = ProfileSample(1, 1, (p_distribution(TRIANGLE, TRIANGLE.features.T),))
     restricted = diagonal_restrict(sample, 1)
     assert len(restricted.members) == len(sample.members)
     assert not restricted.restriction_empty
@@ -221,12 +287,12 @@ def test_restrict_drops_off_diagonal_members_and_flags_empty():
 
 
 def test_marginalize_triangle_and_p3_examples():
-    tri_sample = sample_k_profile(TRIANGLE, 1, 1, SIGNAL_ONLY, seed=0)
+    tri_sample = ProfileSample(1, 1, (p_distribution(TRIANGLE, TRIANGLE.features.T),))
     marg = diagonal_marginalize(tri_sample, 1)
     assert marg.k == 0 and marg.d == 2
     assert measures_equal(marg.members[0].measure, DiscreteMeasure(2, [[2.0, 1.0]], [1.0]))
 
-    p3_sample = sample_k_profile(P3, 1, 1, SIGNAL_ONLY, seed=0)
+    p3_sample = ProfileSample(1, 1, (p_distribution(P3, P3.features.T),))
     marg = diagonal_marginalize(p3_sample, 1)
     expected = DiscreteMeasure(2, [[1.0, 1.0], [2.0, 1.0]], [2 / 3, 1 / 3])
     assert measures_equal(marg.members[0].measure, expected)
@@ -235,7 +301,7 @@ def test_marginalize_triangle_and_p3_examples():
 def test_marginalize_matches_aggregated_signal_profile():
     rng = np.random.default_rng(23)
     b = random_bofop(rng, 6, d=1)
-    sample = sample_k_profile(b, 3, 10, MIXED, seed=12)
+    sample = sample_k_profile(b, 3, 10, seed=12)
     restricted = diagonal_restrict(sample, 1)
     marg = diagonal_marginalize(sample, 1)
     aggregated = FiniteBofopSignal(
@@ -258,8 +324,8 @@ def test_push_contraction_on_profile_distance():
     rng = np.random.default_rng(31)
     b1 = random_bofop(rng, 6, d=1)
     b2 = random_bofop(rng, 5, d=1)
-    s1 = sample_k_profile(b1, 1, 8, MIXED, seed=1)
-    s2 = sample_k_profile(b2, 1, 8, MIXED, seed=1)
+    s1 = sample_k_profile(b1, 1, 8, seed=1)
+    s2 = sample_k_profile(b2, 1, 8, seed=1)
     base = hausdorff_set_distance(s1.measures(), s2.measures(), GROUND_L1)
 
     double = SignalMap(lambda y: np.array([y[0], y[0]]), 1, 2, 2.0)  # l1 constant 2
@@ -297,8 +363,8 @@ def test_projection_contracts_profile_distance():
     rng = np.random.default_rng(37)
     b1 = random_bofop(rng, 6, d=2)
     b2 = random_bofop(rng, 6, d=2)
-    s1 = sample_k_profile(b1, 2, 8, MIXED, seed=2)
-    s2 = sample_k_profile(b2, 2, 8, MIXED, seed=2)
+    s1 = sample_k_profile(b1, 2, 8, seed=2)
+    s2 = sample_k_profile(b2, 2, 8, seed=2)
     base = hausdorff_set_distance(s1.measures(), s2.measures(), GROUND_L1)
     drop = lambda x: x[[0, 2, 3, 4, 5]]  # drop one test coordinate block entry
     p1 = [pushforward_measure(m, drop) for m in s1.measures()]
@@ -343,8 +409,8 @@ def test_shared_member_cannot_increase_set_distance():
     rng = np.random.default_rng(47)
     b1 = random_bofop(rng, 5, d=1)
     b2 = random_bofop(rng, 5, d=1)
-    s1 = sample_k_profile(b1, 1, 6, MIXED, seed=1).measures()
-    s2 = sample_k_profile(b2, 1, 6, MIXED, seed=1).measures()
+    s1 = sample_k_profile(b1, 1, 6, seed=1).measures()
+    s2 = sample_k_profile(b2, 1, 6, seed=1).measures()
     base = hausdorff_set_distance(s1, s2, GROUND_L1)
     extra = p_distribution(TRIANGLE, [[0.0, 0.5, -0.5]]).measure
     grown = hausdorff_set_distance(s1 + [extra], s2 + [extra], GROUND_L1)

@@ -1,6 +1,8 @@
 """The exact transport core: transport_cost against the vertex-enumeration
 oracle, and optimality certificates of the transportation simplex."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from bofop.measures import (
     ot_unbalanced,
     transport_cost,
 )
-from ot_oracle import ot_oracle, transport_oracle
+from ot_oracle import enumerate_tree_costs, ot_oracle, transport_oracle
 
 TOL = 1e-9
 
@@ -90,6 +92,114 @@ def test_tiny_masses_match_oracle():
         assert ot_unbalanced(mu, nu, GROUND_L1) == pytest.approx(
             ot_oracle(mu, nu, GROUND_L1), abs=TOL
         ), seed
+
+
+def reference_tree_costs(a, b, cost):
+    """The oracle as it stood before its trees were tabulated, kept apart as
+    its reference: every (m+n-1)-subset of cells, a union-find cycle test,
+    flows by leaf stripping, and the cost summed in subset order."""
+    m = len(a)
+    n = len(b)
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    best = None
+    n_trees = 0
+    for subset in itertools.combinations(cells, m + n - 1):
+        parent = list(range(m + n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        acyclic = True
+        for i, j in subset:
+            ri, rj = find(i), find(m + j)
+            if ri == rj:
+                acyclic = False
+                break
+            parent[ri] = rj
+        if not acyclic:
+            continue
+        n_trees += 1
+        flows = _reference_tree_flow(subset, a, b)
+        if flows is None:
+            continue
+        total = sum(f * cost[i][j] for f, (i, j) in zip(flows, subset))
+        if best is None or total < best:
+            best = total
+    return best, n_trees
+
+
+def _reference_tree_flow(edges, supply_rows, supply_cols):
+    m = len(supply_rows)
+    n = len(supply_cols)
+    remaining = list(supply_rows) + list(supply_cols)
+    adj = {node: [] for node in range(m + n)}
+    for idx, (i, j) in enumerate(edges):
+        adj[i].append((idx, m + j))
+        adj[m + j].append((idx, i))
+    flows = [None] * len(edges)
+    active = {node: len(neigh) for node, neigh in adj.items()}
+    leaves = [node for node, deg in active.items() if deg == 1]
+    used = [False] * len(edges)
+    while leaves:
+        node = leaves.pop()
+        if active[node] != 1:
+            continue
+        idx, other = next((idx, other) for idx, other in adj[node] if not used[idx])
+        flow = remaining[node]
+        if flow < -1e-9:
+            return None
+        flows[idx] = max(flow, 0.0)
+        used[idx] = True
+        remaining[node] = 0.0
+        remaining[other] -= flow
+        active[node] -= 1
+        active[other] -= 1
+        if active[other] == 1:
+            leaves.append(other)
+    if any(f is None for f in flows):
+        return None
+    return flows
+
+
+def _oracle_instance(rng, family, rows, cols):
+    """A balanced instance as transport_oracle hands it to the tree search:
+    either rows matched to the columns' mass, or rows - 1 lighter rows plus
+    the virtual row that absorbs the gap at zero cost."""
+    if family == "ties":
+        b = np.full(cols, 1.0 / cols)
+        cost = rng.integers(0, 3, (rows, cols)).astype(float)
+    else:
+        b = rng.uniform(0, 1, cols)
+        if family == "tiny":
+            b = b * 10 ** rng.uniform(-8, 0, cols)
+        cost = rng.uniform(0, 4, (rows, cols))
+    if rows > 1 and rng.random() < 0.5:
+        a = rng.uniform(0, 1, rows - 1) * (b.sum() / rows)
+        a = np.append(a, b.sum() - a.sum())
+        cost[-1] = 0.0
+    else:
+        a = rng.uniform(0.1, 1, rows)
+        a = a * (b.sum() / a.sum())
+    return a.tolist(), b.tolist(), cost.tolist()
+
+
+def test_tabulated_oracle_matches_the_subset_search():
+    """Every shape the oracle sees in these tests, up to 4 atoms a side plus a
+    virtual row: the tabulated trees give the subset search's (best, count)."""
+    for rows in range(1, 6):
+        for cols in range(1, 5):
+            for family in ("random", "ties", "tiny"):
+                rng = np.random.default_rng([rows, cols, len(family)])
+                for _ in range(1 if rows * cols > 12 else 4):
+                    a, b, cost = _oracle_instance(rng, family, rows, cols)
+                    best, count = enumerate_tree_costs(a, b, cost)
+                    want_best, want_count = reference_tree_costs(a, b, cost)
+                    assert count == want_count == rows ** (cols - 1) * cols ** (rows - 1)
+                    # the same float operations in the same order: bit for bit
+                    assert best == want_best, (rows, cols, family)
 
 
 def _family(rng, family, m, n):

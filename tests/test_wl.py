@@ -85,18 +85,18 @@ def test_k2_level1_structure():
     a, b = didm.node_idms
     assert a is b  # both endpoints share one class
     assert a.level == 1
-    assert a.measure.total_mass == 1.0
-    (atom,) = a.measure.atoms
+    assert a.weights.sum() == 1.0
+    (atom,) = a.atoms
     assert atom.level == 0 and atom.feature.tolist() == [1.0]
-    assert [m.total_mass for m in a.level_measures] == [1.0]
+    assert [weights.sum() for _, weights in a.level_measures] == [1.0]
 
 
 def test_2k1_level1_zero_measure():
     didm = compute_idms(two_k1(), 1)
     tree = didm.node_idms[0]
     assert didm.node_idms[1] is tree
-    assert tree.measure.total_mass == 0.0
-    assert len(tree.measure.atoms) == 0
+    assert tree.weights.sum() == 0.0
+    assert len(tree.atoms) == 0
 
 
 def test_fiber_mass_consistency():
@@ -105,8 +105,8 @@ def test_fiber_mass_consistency():
     didm = compute_idms(b, 3)
     row_mass = b.kernel.sum(axis=1)
     for i, tree in enumerate(didm.node_idms):
-        for level_measure in tree.level_measures:
-            assert level_measure.total_mass == pytest.approx(row_mass[i], abs=1e-12)
+        for _, weights in tree.level_measures:
+            assert weights.sum() == pytest.approx(row_mass[i], abs=1e-12)
 
 
 # ---------------------------------------------------------------- distances
