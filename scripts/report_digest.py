@@ -24,7 +24,7 @@ import tempfile
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
 
-# the model of the CI runtime job's forward-route check
+# the model of the CI byte-identity job's forward-route check
 TOUR_MODEL = {
     "updates": [
         {"weight": [[0.5], [-0.4]], "bias": [0.1, -0.2], "nonlinearity": ["clamp", "clamp"]},

@@ -26,6 +26,7 @@ from .operators import (
     generate,
     generate_graph_dict,
     infty_norm,
+    json_object,
     materialize_features,
     spec_from_dict,
 )
@@ -132,9 +133,7 @@ class ExperimentConfig:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    unknown = set(d) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    json_object(d, [f.name for f in fields(ExperimentConfig)], "config")
     return ExperimentConfig(**d)
 
 
@@ -495,22 +494,19 @@ def report_json(report: RunReport) -> str:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _svg_plot(title, xlabel, ylabel, series, logx=False, logy=False) -> str:
+def _svg_plot(title, xlabel, ylabel, series, log=False) -> str:
     width, height = 640, 440
     ml, mr, mt, mb = 72, 24, 42, 56
     pw, ph = width - ml - mr, height - mt - mb
 
-    def tx(v):
-        return math.log10(v) if logx else v
-
-    def ty(v):
-        return math.log10(v) if logy else v
+    def t(v):
+        return math.log10(v) if log else v
 
     pts = [
-        (tx(x), ty(y))
+        (t(x), t(y))
         for _, kind, data in series
         for x, y in data
-        if (not logx or x > 0) and (not logy or y > 0)
+        if not log or (x > 0 and y > 0)
     ]
     if not pts:
         pts = [(0.0, 0.0), (1.0, 1.0)]
@@ -523,10 +519,10 @@ def _svg_plot(title, xlabel, ylabel, series, logx=False, logy=False) -> str:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
 
     def px(v):
-        return ml + pw * (tx(v) - x_lo) / (x_hi - x_lo)
+        return ml + pw * (t(v) - x_lo) / (x_hi - x_lo)
 
     def py(v):
-        return mt + ph * (1.0 - (ty(v) - y_lo) / (y_hi - y_lo))
+        return mt + ph * (1.0 - (t(v) - y_lo) / (y_hi - y_lo))
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -544,8 +540,8 @@ def _svg_plot(title, xlabel, ylabel, series, logx=False, logy=False) -> str:
     for i in range(5):
         fx = x_lo + (x_hi - x_lo) * i / 4
         fy = y_lo + (y_hi - y_lo) * i / 4
-        vx = 10.0**fx if logx else fx
-        vy = 10.0**fy if logy else fy
+        vx = 10.0**fx if log else fx
+        vy = 10.0**fy if log else fy
         gx = ml + pw * i / 4
         gy = mt + ph * (1 - i / 4)
         out.append(
@@ -558,9 +554,7 @@ def _svg_plot(title, xlabel, ylabel, series, logx=False, logy=False) -> str:
         )
     for idx, (label, kind, data) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        drawable = [
-            (x, y) for x, y in data if (not logx or x > 0) and (not logy or y > 0)
-        ]
+        drawable = [(x, y) for x, y in data if not log or (x > 0 and y > 0)]
         if kind == "line" and len(drawable) > 1:
             path = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in drawable)
             out.append(
@@ -613,7 +607,7 @@ def report_svg(report: RunReport) -> str:
     series = [("median sup deviation", "line", pts)]
     return _svg_plot(
         "Monte-Carlo deviation decay", "dataset size", "deviation", series,
-        logx=True, logy=True,
+        log=True,
     )
 
 

@@ -414,22 +414,21 @@ def pushforward_measure(mu: DiscreteMeasure, fn) -> DiscreteMeasure:
 _BOUND_RTOL = 1e-12
 
 
-def _projected_lower_bound(kind, a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-    """Lower bound on ot_unbalanced(a, b) from exact 1-D transports of projections.
+def _projected_lower_bound(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
+    """Lower bound on the L1 ot_unbalanced(a, b) from exact 1-D transports of
+    the coordinates.
 
-    Any coupling pays at least the 1-D W1 of the atoms projected on a
-    1-Lipschitz direction: each coordinate under L1 (their costs add up), the
-    unit vector of the weighted-sum difference under L2 (the first axis if
-    that difference is 0). On a projection the lighter side ships into a
-    sub-measure of the heavier one, whose cumulative weight differs from the
-    heavier side's by at most the mass gap, so that W1 is at least the
-    integral of |F_a - F_b| over the hull of both supports minus gap times the
-    hull's width. The unbalanced cost adds the gap itself:
+    Any coupling pays at least the 1-D W1 of each coordinate's projection,
+    and under L1 those costs add up. On a projection the lighter side ships
+    into a sub-measure of the heavier one, whose cumulative weight differs
+    from the heavier side's by at most the mass gap, so that W1 is at least
+    the integral of |F_a - F_b| over the hull of both supports minus gap
+    times the hull's width. The unbalanced cost adds the gap itself:
 
         gap + max(0, sum_k (integral |F_a,k - F_b,k| - gap * span_k))
 
     less the rounding allowance _BOUND_RTOL * scale. One pass per pair: stack
-    the atoms with signed weights, sort each projection, and dot the
+    the atoms with signed weights, sort each coordinate, and dot the
     cumulative signed weights with the sorted gaps. Where ot_unbalanced
     answers with the mass gap alone for measures equal up to representation,
     so does the bound.
@@ -442,11 +441,6 @@ def _projected_lower_bound(kind, a: DiscreteMeasure, b: DiscreteMeasure) -> floa
     points = np.concatenate([a.atoms, b.atoms])
     signed = np.concatenate([a.weights, -b.weights])
     scale = (mass_a + mass_b) * float(np.abs(points).max(axis=0).sum())
-    if kind == L2:
-        direction = signed @ points
-        norm = float(np.sqrt(direction @ direction))
-        # with equal weighted sums any unit vector serves: take the first axis
-        points = points[:, :1] if norm == 0.0 else (points @ (direction / norm))[:, None]
     cumulative = np.cumsum(signed[np.argsort(points, axis=0)], axis=0)
     ordered = np.sort(points, axis=0)
     widths = ordered[1:] - ordered[:-1]
@@ -454,8 +448,9 @@ def _projected_lower_bound(kind, a: DiscreteMeasure, b: DiscreteMeasure) -> floa
     return gap + max(0.0, excess - _BOUND_RTOL * scale)
 
 
-def hausdorff_set_distance(set_a, set_b, ground: GroundMetric) -> float:
-    """Hausdorff distance between two finite sets of measures under transport cost.
+def hausdorff_set_distance(set_a, set_b) -> float:
+    """Hausdorff distance between two finite sets of measures under the L1
+    transport cost.
 
     Exact max-of-min over the finite sets. One table of _projected_lower_bound
     serves both directions. Each inner minimum scans its candidates by
@@ -471,15 +466,13 @@ def hausdorff_set_distance(set_a, set_b, ground: GroundMetric) -> float:
     dims = {m.ambient_dim for m in set_a} | {m.ambient_dim for m in set_b}
     if len(dims) != 1:
         raise ValueError("all measures must share the ambient dimension")
-    bounds = np.array(
-        [[_projected_lower_bound(ground.kind, a, b) for b in set_b] for a in set_a]
-    )
+    bounds = np.array([[_projected_lower_bound(a, b) for b in set_b] for a in set_a])
     cache = {}
 
     def pair_value(i, j):
         key = (i, j)
         if key not in cache:
-            cache[key] = ot_unbalanced(set_a[i], set_b[j], ground)
+            cache[key] = ot_unbalanced(set_a[i], set_b[j], GROUND_L1)
         return cache[key]
 
     def directed(table, value_at, worst):

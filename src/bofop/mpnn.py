@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscreteMeasure, GROUND_L1, measures_equal, ot_unbalanced
-from .operators import FiniteBofopSignal, apply_operator, real_array, real_value
+from .operators import FiniteBofopSignal, apply_operator, json_object, real_array, real_value
 from .profiles import (
     ProfileSample,
     SignalMap,
@@ -161,10 +161,6 @@ class MpnnModel:
     def output_dim(self) -> int:
         return self.readout.out_dim
 
-    @property
-    def lipschitz_bound_D(self) -> float:
-        return max([u.lipschitz for u in self.updates] + [self.readout.lipschitz])
-
 
 def layer_pass(model: MpnnModel, kernels, features) -> list:
     """Hidden values of every layer on signals stacked over leading axes:
@@ -258,7 +254,7 @@ def forward_profile(model: MpnnModel, sample: ProfileSample) -> np.ndarray:
     )
     for layer in range(1, model.depth + 1):
         d_prev = model.hidden_dims[layer - 1]
-        current = diagonal_marginalize(current, d_prev)
+        current = diagonal_marginalize(current)
         if not current.members:
             raise ValueError(
                 "diagonal restriction left no members; sample_profile_for_model "
@@ -404,9 +400,7 @@ def _map_to_dict(m: CertifiedMap) -> dict:
 
 
 def _map_from_dict(d: dict) -> CertifiedMap:
-    unknown = set(d) - {"weight", "bias", "nonlinearity", "lipschitz"}
-    if unknown:
-        raise ValueError(f"unknown map keys: {sorted(unknown)}")
+    json_object(d, ("weight", "bias", "nonlinearity", "lipschitz"), "map")
     weight, bias = real_array(d["weight"], "weight"), real_array(d["bias"], "bias")
     lipschitz = d.get("lipschitz")
     # keep a bare string intact so the constructor broadcasts it per coordinate
@@ -424,9 +418,9 @@ def model_to_dict(model: MpnnModel) -> dict:
 
 
 def model_from_dict(d: dict) -> MpnnModel:
-    unknown = set(d) - {"updates", "readout"}
-    if unknown:
-        raise ValueError(f"unknown model keys: {sorted(unknown)}")
+    json_object(d, ("updates", "readout"), "model")
+    if not isinstance(d["updates"], list):
+        raise ValueError(f"model updates must be a list, got {type(d['updates']).__name__}")
     return MpnnModel(
         tuple(_map_from_dict(u) for u in d["updates"]),
         _map_from_dict(d["readout"]),

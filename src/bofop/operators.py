@@ -48,6 +48,16 @@ def real_value(value, field) -> float:
     raise ValueError(f"{field} must be a real number, got {value!r}")
 
 
+def json_object(value, allowed, what):
+    """Check that a value read from a file is a JSON object whose keys all lie
+    in allowed; the error names the value as what."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    unknown = set(value) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def real_array(values, field) -> np.ndarray:
     """A scalar or nested list of real numbers read from a file, as a float
     array; every entry is held to real_value's rule. The rule is checked once
@@ -263,10 +273,9 @@ _SPEC_KEYS = {f.name for f in fields(GeneratorSpec)}
 
 def spec_from_dict(d: dict) -> GeneratorSpec:
     """Read a generator spec dict into a spec with its own params dict; keys
-    outside _SPEC_KEYS are rejected."""
-    unknown = set(d) - _SPEC_KEYS
-    if unknown:
-        raise ValueError(f"unknown generator spec keys: {sorted(unknown)}")
+    outside _SPEC_KEYS are rejected, and so are params and features keys that
+    the kind or feature mode does not read, when the spec is generated."""
+    json_object(d, _SPEC_KEYS, "generator spec")
     kind, params, features = d["kind"], d.get("params", {}), d.get("features")
     if not isinstance(params, dict):
         raise ValueError(f"params must be an object, got {params!r}")
@@ -335,6 +344,8 @@ def edge_probabilities(kind, params, rng, batch):
     """Check erdos_renyi or graphon_sample params and return (n, probs), with
     probs broadcastable to batch + (n, n): p itself for erdos_renyi. Graphon
     latents are drawn from rng."""
+    json_object(params, ("n", "p") if kind == ERDOS_RENYI else ("n", "kernel_expr"),
+                f"{kind} params")
     n = _integer(params["n"], f"{kind} n")
     if kind == ERDOS_RENYI:
         p = real_value(params["p"], "erdos_renyi p")
@@ -353,15 +364,18 @@ def materialize_features(features, shape, rng) -> np.ndarray:
     features = features or {"mode": "constant", "value": 1.0}
     mode = features.get("mode")
     if mode == "uniform":
+        json_object(features, ("mode", "dim"), "uniform features")
         # in [-1, 1) by construction, so it skips the range check below
         dim = _integer(features.get("dim", 1), "features dim")
         if dim < 1:
             raise ValueError(f"features dim must be >= 1, got {dim}")
         return rng.uniform(-1.0, 1.0, (*shape, dim))
     if mode == "constant":
+        json_object(features, ("mode", "value"), "constant features")
         value = np.atleast_1d(real_array(features.get("value", 1.0), "features value"))
         out = np.tile(value, (*shape, 1))
     elif mode == "list":
+        json_object(features, ("mode", "values"), "list features")
         if len(shape) != 1:
             raise ValueError("list features describe one graph, not a batch")
         out = real_array(features["values"], "features values")
@@ -387,6 +401,7 @@ def _generate_structure(spec: GeneratorSpec, rng):
         edges = [[int(i), int(j), 1.0] for i, j in zip(iu[mask], ju[mask])]
         return "edges", n, edges
     if kind == EQUATOR:
+        json_object(params, ("m", "band_eps"), "equator params")
         m = _integer(params["m"], "equator m")
         eps = real_value(params["band_eps"], "equator band_eps")
         if m < 1 or not (0.0 < eps < 1.0):
@@ -406,6 +421,7 @@ def _generate_structure(spec: GeneratorSpec, rng):
         kernel[nz] = band[nz] / deg[nz, None]
         return "kernel", m, kernel
     if kind == RING:
+        json_object(params, ("n",), "ring params")
         n = _integer(params["n"], "ring n")
         if n < 1:
             raise ValueError("ring needs n >= 1")
@@ -416,6 +432,7 @@ def _generate_structure(spec: GeneratorSpec, rng):
             edges = [[i, (i + 1) % n, 1.0] for i in range(n)]
         return "edges", n, edges
     if kind == COMPLETE:
+        json_object(params, ("n",), "complete params")
         n = _integer(params["n"], "complete n")
         if n < 1:
             raise ValueError("complete needs n >= 1")
@@ -425,6 +442,13 @@ def _generate_structure(spec: GeneratorSpec, rng):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
+def _draw(spec: GeneratorSpec):
+    """Return (form, n, payload, features), drawn from the spec's seed."""
+    rng = np.random.default_rng(spec.seed)
+    form, n, payload = _generate_structure(spec, rng)
+    return form, n, payload, materialize_features(spec.features, (n,), rng)
+
+
 def generate_graph_dict(spec: GeneratorSpec) -> dict:
     """Generate and return the JSON-serializable graph form of a bofop-signal.
 
@@ -432,9 +456,7 @@ def generate_graph_dict(spec: GeneratorSpec) -> dict:
     equator kind is row-normalized and not expressible as an aggregated edge
     list, so it carries a full {"kernel"} matrix instead.
     """
-    rng = np.random.default_rng(spec.seed)
-    form, n, payload = _generate_structure(spec, rng)
-    features = materialize_features(spec.features, (n,), rng)
+    form, n, payload, features = _draw(spec)
     out = {"n": n, "features": features.tolist()}
     if form == "edges":
         if spec.aggregation not in AGGREGATIONS:
@@ -449,9 +471,8 @@ def generate_graph_dict(spec: GeneratorSpec) -> dict:
 def bofop_from_graph_dict(d: dict) -> FiniteBofopSignal:
     """Read the graph JSON form: either edges + aggregation, or a raw kernel.
     Unknown keys and n < 1 are rejected."""
-    unknown = set(d) - {"n", "edges", "aggregation", "features", "vertex_weights", "kernel"}
-    if unknown:
-        raise ValueError(f"unknown graph keys: {sorted(unknown)}")
+    json_object(d, ("n", "edges", "aggregation", "features", "vertex_weights", "kernel"),
+                "graph")
     n = _integer(d["n"], "graph n")
     if n < 1:
         raise ValueError(f"graph needs n >= 1, got {n}")
@@ -472,7 +493,12 @@ def bofop_from_graph_dict(d: dict) -> FiniteBofopSignal:
 
 
 def generate(spec: GeneratorSpec) -> FiniteBofopSignal:
-    return bofop_from_graph_dict(generate_graph_dict(spec))
+    """The signal that bofop_from_graph_dict(generate_graph_dict(spec)) reads
+    back, built from the drawn arrays without the JSON form."""
+    form, n, payload, features = _draw(spec)
+    if form == "edges":
+        return from_graph(n, payload, features, spec.aggregation)
+    return FiniteBofopSignal(n, np.full(n, 1.0 / n), payload, features)
 
 
 def load_graph(path) -> FiniteBofopSignal:

@@ -19,12 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .measures import (
-    GROUND_L1,
-    DiscreteMeasure,
-    hausdorff_set_distance,
-    measures_equal,
-)
+from .measures import DiscreteMeasure, hausdorff_set_distance, measures_equal
 from .operators import FiniteBofopSignal, apply_operator, infty_norm
 from .wl import color_refinement_ids
 
@@ -51,11 +46,6 @@ class PDistribution:
                 f"expected 2*{self.k} + {self.d}"
             )
 
-    def blocks(self):
-        """(test block, aggregated block, signal block) of the atom matrix."""
-        a = self.measure.atoms
-        return a[:, : self.k], a[:, self.k : 2 * self.k], a[:, 2 * self.k :]
-
 
 @dataclass(frozen=True, eq=False)
 class ProfileSample:
@@ -64,10 +54,6 @@ class ProfileSample:
     k: int
     d: int
     members: tuple
-
-    @property
-    def restriction_empty(self) -> bool:
-        return not self.members
 
     def measures(self):
         return [m.measure for m in self.members]
@@ -162,8 +148,8 @@ def push_signal(sample: ProfileSample, phi: SignalMap) -> ProfileSample:
     return ProfileSample(k, phi.dim_out, _dedup(pushed))
 
 
-def _on_diagonal(member: PDistribution, d: int) -> bool:
-    k = member.k
+def _on_diagonal(member: PDistribution) -> bool:
+    k, d = member.k, member.d
     atoms = member.measure.atoms
     if atoms.shape[0] == 0:
         return True
@@ -172,20 +158,16 @@ def _on_diagonal(member: PDistribution, d: int) -> bool:
     return bool(np.max(np.abs(tail_tests - signal_block), initial=0.0) <= DIAG_TOL)
 
 
-def diagonal_restrict(sample: ProfileSample, d: int) -> ProfileSample:
-    """Keep the members supported where the last d test channels equal the signal."""
-    if d != sample.d:
-        raise ValueError(
-            f"restriction compares the last {d} test channels with the whole "
-            f"signal block, so d must equal the sample's signal dimension {sample.d}"
-        )
-    if sample.k < d:
+def diagonal_restrict(sample: ProfileSample) -> ProfileSample:
+    """Keep the members supported where the last d test channels equal the
+    signal, d being the sample's signal dimension."""
+    if sample.k < sample.d:
         raise ValueError("need order k >= d to restrict on d channels")
-    kept = tuple(m for m in sample.members if _on_diagonal(m, d))
+    kept = tuple(m for m in sample.members if _on_diagonal(m))
     return ProfileSample(sample.k, sample.d, kept)
 
 
-def diagonal_marginalize(sample: ProfileSample, d: int) -> ProfileSample:
+def diagonal_marginalize(sample: ProfileSample) -> ProfileSample:
     """Restrict to the diagonal, then drop the matched test channels.
 
     The result has order k-d and a doubled signal block (Af, f): the d
@@ -193,8 +175,8 @@ def diagonal_marginalize(sample: ProfileSample, d: int) -> ProfileSample:
     signal. Member-by-member this is the profile of the aggregated signal
     (A, (Af, f)) generated by the surviving test vectors.
     """
-    restricted = diagonal_restrict(sample, d)
-    k = sample.k
+    restricted = diagonal_restrict(sample)
+    k, d = sample.k, sample.d
     keep_cols = list(range(k - d)) + list(range(k, 2 * k)) + list(range(2 * k, 2 * k + d))
     new_k = k - d
     new_d = 2 * d
@@ -247,7 +229,7 @@ def action_metric_estimate(
     for k in range(k_max + 1):
         s1 = sample_k_profile(b1, k, num_samples, seed=[seed, k])
         s2 = sample_k_profile(b2, k, num_samples, seed=[seed, k])
-        h = hausdorff_set_distance(s1.measures(), s2.measures(), GROUND_L1)
+        h = hausdorff_set_distance(s1.measures(), s2.measures())
         per_k.append(h)
         value += 2.0 ** (-k) * h
     c = max(1.0, infty_norm(b1), infty_norm(b2))

@@ -44,16 +44,6 @@ class IdmTree:
     weights: np.ndarray | None = None
     index: int = 0
 
-    @property
-    def level_measures(self) -> list:
-        """(atoms, weights) for levels 1..L, read off the truncation chain."""
-        chain = []
-        node = self
-        while node.level >= 1:
-            chain.append((node.atoms, node.weights))
-            node = node.parent
-        return chain[::-1]
-
 
 class IdmUniverse:
     """Hash-consing registry; may span several signals so shared classes merge.

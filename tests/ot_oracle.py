@@ -29,6 +29,15 @@ def _cost_matrix(mu, nu, ground):
 
 _TREES = {}
 
+# relative to the largest marginal: an absolute floor would pass a tree that
+# routes a whole light row into a zero-capacity column
+FEASIBILITY_RTOL = 1e-12
+
+
+def feasibility_floor(a, b):
+    """The most negative flow a feasible tree may carry, as a magnitude."""
+    return FEASIBILITY_RTOL * max(max(a), max(b))
+
 
 def _strip_order(cells, m, n):
     """The order in which leaf stripping solves one tree: (node, slot, other)
@@ -99,8 +108,9 @@ def enumerate_tree_costs(a, b, cost):
 
     Every tree is solved at once, one leaf-stripping step per cell: a leaf's
     remaining marginal is its cell's flow, which is taken off the other end.
-    A tree is feasible when no flow is below -1e-9. Flows are clamped at 0
-    and the cost is summed in cell order.
+    A tree is feasible when no flow is below -FEASIBILITY_RTOL times the
+    largest marginal. Flows are clamped at 0 and the cost is summed in cell
+    order.
     """
     m = len(a)
     n = len(b)
@@ -112,7 +122,7 @@ def enumerate_tree_costs(a, b, cost):
         flows[slot] = flow
         remaining[other] -= flow
     flows = flows.reshape(cells.shape)
-    feasible = np.all(flows >= -1e-9, axis=1)
+    feasible = np.all(flows >= -feasibility_floor(a, b), axis=1)
     flows = np.maximum(flows[feasible], 0.0)
     unit_costs = np.asarray(cost, dtype=float).reshape(m * n)[cells[feasible]]
     totals = np.zeros(len(flows))

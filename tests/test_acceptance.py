@@ -331,9 +331,9 @@ def test_c06_contraction_inequalities():
             )
         else:
             phi = SignalMap(lambda y: np.concatenate([y, y]), d, 2 * d, 2.0)
-        base = hausdorff_set_distance(s1.measures(), s2.measures(), GROUND_L1)
+        base = hausdorff_set_distance(s1.measures(), s2.measures())
         pushed = hausdorff_set_distance(
-            push_signal(s1, phi).measures(), push_signal(s2, phi).measures(), GROUND_L1
+            push_signal(s1, phi).measures(), push_signal(s2, phi).measures()
         )
         slack = max(1.0, phi.lipschitz) * base - pushed
         min_slack = min(min_slack, slack)

@@ -300,15 +300,25 @@ def test_spec_params_and_features_must_be_objects(tmp_path):
     spec_path = tmp_path / "spec.json"
     cfg_path = tmp_path / "cfg.json"
     er4 = {"kind": "erdos_renyi", "params": {"n": 4, "p": 0.5}}
-    for field, spec in (("features", {**er4, "features": "uniform"}),
-                        ("features", {**er4, "features": [0.5]}),
-                        ("params", {**er4, "params": [4, 0.5]})):
+    for message, spec in (
+        ("features must be an object", {**er4, "features": "uniform"}),
+        ("features must be an object", {**er4, "features": [0.5]}),
+        ("params must be an object", {**er4, "params": [4, 0.5]}),
+        # a key that the generator kind or feature mode would ignore
+        ("unknown erdos_renyi params keys: ['q']",
+         {**er4, "params": {"n": 5, "p": 0.5, "q": 1}}),
+        ("unknown ring params keys: ['p']", {"kind": "ring", "params": {"n": 5, "p": 0.5}}),
+        ("unknown uniform features keys: ['value']",
+         {**er4, "features": {"mode": "uniform", "value": 0.5}}),
+        ("unknown constant features keys: ['dim']",
+         {**er4, "features": {"mode": "constant", "dim": 2}}),
+    ):
         spec_path.write_text(json.dumps(spec))
         res = runner.invoke(
             main, ["graph", "generate", "--spec", str(spec_path), "--out", str(tmp_path / "g.json")]
         )
         assert_guarded_error(res)
-        assert f"error: {field} must be an object" in res.output
+        assert f"error: {message}" in res.output
         # the same spec reached through an experiment config's generator
         cfg_path.write_text(json.dumps({"kind": "fineness", "generators": [spec], "pairs": 1,
                                         "depth": 1, "k_max": 1, "num_samples": 4}))
@@ -316,8 +326,37 @@ def test_spec_params_and_features_must_be_objects(tmp_path):
             main, ["experiment", "run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
         )
         assert_guarded_error(res)
-        assert f"error: {field} must be an object" in res.output
+        assert f"error: {message}" in res.output
     assert not (tmp_path / "g.json").exists()
+
+
+_LAYER = {"weight": [[0.5]], "bias": [0.1]}
+
+
+@pytest.mark.parametrize("family, doc, message", [
+    ("graph", 5, "error: graph must be an object"),
+    ("spec", "abc", "error: generator spec must be an object"),
+    ("config", [1, 2], "error: config must be an object"),
+    ("model", {"updates": [_LAYER], "readout": []}, "error: map must be an object"),
+    ("model", {"updates": {"a": 1}, "readout": _LAYER}, "error: model updates must be a list"),
+])
+def test_non_object_documents_exit_one(family, doc, message, tmp_path):
+    runner = CliRunner()
+    graph = tmp_path / "g.json"
+    write_graph(graph)
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = {
+        "graph": ["wl", "run", str(path), "--rounds", "1"],
+        "spec": ["graph", "generate", "--spec", str(path), "--out", str(out)],
+        "config": ["experiment", "run", "--config", str(path), "--out", str(out)],
+        "model": ["mpnn", "forward", "--model", str(path), "--graph", str(graph), "--via", "bofop"],
+    }[family]
+    res = runner.invoke(main, args)
+    assert_guarded_error(res)
+    assert message in res.output, res.output
+    assert not out.exists()
 
 
 def test_malformed_graph_files_are_rejected(tmp_path):

@@ -63,9 +63,9 @@ def test_ot_split_mass_to_center():
 
 def test_hausdorff_examples():
     d0, d1, d2 = dirac([0.0]), dirac([1.0]), dirac([2.0])
-    assert hausdorff_set_distance([d0], [d0], GROUND_L1) == pytest.approx(0.0, abs=TOL)
-    assert hausdorff_set_distance([d0], [d1], GROUND_L1) == pytest.approx(1.0, abs=TOL)
-    assert hausdorff_set_distance([d0, d2], [d1], GROUND_L1) == pytest.approx(1.0, abs=TOL)
+    assert hausdorff_set_distance([d0], [d0]) == pytest.approx(0.0, abs=TOL)
+    assert hausdorff_set_distance([d0], [d1]) == pytest.approx(1.0, abs=TOL)
+    assert hausdorff_set_distance([d0, d2], [d1]) == pytest.approx(1.0, abs=TOL)
 
 
 def test_pushforward_examples():
@@ -381,9 +381,9 @@ def test_transport_cost_raises_past_the_pivot_bound(monkeypatch):
 
 def test_hausdorff_rejects_bad_sets():
     with pytest.raises(ValueError):
-        hausdorff_set_distance([], [dirac([0.0])], GROUND_L1)
+        hausdorff_set_distance([], [dirac([0.0])])
     with pytest.raises(ValueError):
-        hausdorff_set_distance([dirac([0.0])], [dirac([0.0, 1.0])], GROUND_L1)
+        hausdorff_set_distance([dirac([0.0])], [dirac([0.0, 1.0])])
 
 
 def test_pushforward_rejects_inconsistent_output_dim():
@@ -466,8 +466,8 @@ def test_kr_bound_never_exceeds_transport(mu, nu):
         assert kr_lower_bound(mu, nu, lambda x: float(s @ x)) <= w + TOL
 
 
-def brute_force_hausdorff(set_a, set_b, ground):
-    table = [[ot_unbalanced(a, b, ground) for b in set_b] for a in set_a]
+def brute_force_hausdorff(set_a, set_b):
+    table = [[ot_unbalanced(a, b, GROUND_L1) for b in set_b] for a in set_a]
     return max(
         max(min(row) for row in table),
         max(min(col) for col in zip(*table)),
@@ -481,12 +481,9 @@ def test_hausdorff_pruning_is_exact():
         k = int(rng.integers(1, 4))
         return DiscreteMeasure(2, rng.uniform(-2, 2, (k, 2)), rng.uniform(0.1, 1.5, k))
 
-    for ground in (GROUND_L1, GROUND_L2):
-        set_a = [rand_measure() for _ in range(5)]
-        set_b = [rand_measure() for _ in range(4)]
-        assert hausdorff_set_distance(set_a, set_b, ground) == brute_force_hausdorff(
-            set_a, set_b, ground
-        )
+    set_a = [rand_measure() for _ in range(5)]
+    set_b = [rand_measure() for _ in range(4)]
+    assert hausdorff_set_distance(set_a, set_b) == brute_force_hausdorff(set_a, set_b)
 
 
 @st.composite
@@ -515,7 +512,6 @@ def related_measures(draw, d, quarters):
 def hausdorff_cases(draw):
     """Two sets from one pool: drawn with repeats (tied measures), or the
     second the first itself or a permuted copy."""
-    ground = draw(st.sampled_from([GROUND_L1, GROUND_L2]))
     d = draw(st.integers(1, 3))
     quarters = draw(st.integers(1, 8))
     pool = draw(st.lists(related_measures(d, quarters), min_size=1, max_size=5))
@@ -528,16 +524,14 @@ def hausdorff_cases(draw):
         set_b = set_a
     else:
         set_b = draw(st.permutations(set_a))
-    return set_a, set_b, ground
+    return set_a, set_b
 
 
 @settings(max_examples=150, deadline=None)
 @given(hausdorff_cases())
 def test_hausdorff_pruning_matches_brute_force_bit_for_bit(case):
-    set_a, set_b, ground = case
-    assert hausdorff_set_distance(set_a, set_b, ground) == brute_force_hausdorff(
-        set_a, set_b, ground
-    )
+    set_a, set_b = case
+    assert hausdorff_set_distance(set_a, set_b) == brute_force_hausdorff(set_a, set_b)
 
 
 @st.composite
@@ -551,10 +545,9 @@ def related_pairs(draw, d=None):
 @given(related_pairs())
 def test_projected_bound_never_exceeds_transport(pair):
     mu, nu = pair
-    for ground in (GROUND_L1, GROUND_L2):
-        value = ot_unbalanced(mu, nu, ground)
-        assert _projected_lower_bound(ground.kind, mu, nu) <= value * (1 + 1e-12)
-        assert _projected_lower_bound(ground.kind, nu, mu) <= value * (1 + 1e-12)
+    value = ot_unbalanced(mu, nu, GROUND_L1)
+    assert _projected_lower_bound(mu, nu) <= value * (1 + 1e-12)
+    assert _projected_lower_bound(nu, mu) <= value * (1 + 1e-12)
 
 
 def test_projected_bound_allows_for_cancelling_sums():
@@ -562,10 +555,9 @@ def test_projected_bound_allows_for_cancelling_sums():
     # gap to the last atoms multiplies; the exact value is only 2e-11
     mu = DiscreteMeasure(1, [[0.0], [1e-10], [5.0]], [0.1, 0.2, 1.0])
     nu = DiscreteMeasure(1, [[0.0], [5.0]], [0.3, 1.0])
-    for ground in (GROUND_L1, GROUND_L2):
-        value = ot_unbalanced(mu, nu, ground)
-        assert value == pytest.approx(2e-11, rel=1e-6)
-        assert _projected_lower_bound(ground.kind, mu, nu) <= value
+    value = ot_unbalanced(mu, nu, GROUND_L1)
+    assert value == pytest.approx(2e-11, rel=1e-6)
+    assert _projected_lower_bound(mu, nu) <= value
 
 
 def test_projected_bound_matches_the_gap_shortcut():
@@ -573,26 +565,24 @@ def test_projected_bound_matches_the_gap_shortcut():
     # origin the rounding allowance is far smaller than their distance
     mu = DiscreteMeasure(2, [[0.0, 0.0], [0.0, 1e-9]], [0.5, 0.5])
     nu = DiscreteMeasure(2, [[5e-13, 0.0], [-5e-13, 1e-9]], [0.5, 0.5 + 1e-13])
-    for ground in (GROUND_L1, GROUND_L2):
-        gap = abs(mu.total_mass - nu.total_mass)
-        assert ot_unbalanced(mu, nu, ground) == gap
-        assert _projected_lower_bound(ground.kind, mu, nu) == gap
-        # an empty side ships nothing: the value is the mass gap
-        empty = DiscreteMeasure(2, np.zeros((0, 2)), [])
-        assert _projected_lower_bound(ground.kind, empty, empty) == 0.0
-        assert _projected_lower_bound(ground.kind, empty, nu) == nu.total_mass
-        assert _projected_lower_bound(ground.kind, mu, empty) == mu.total_mass
+    gap = abs(mu.total_mass - nu.total_mass)
+    assert ot_unbalanced(mu, nu, GROUND_L1) == gap
+    assert _projected_lower_bound(mu, nu) == gap
+    # an empty side ships nothing: the value is the mass gap
+    empty = DiscreteMeasure(2, np.zeros((0, 2)), [])
+    assert _projected_lower_bound(empty, empty) == 0.0
+    assert _projected_lower_bound(empty, nu) == nu.total_mass
+    assert _projected_lower_bound(mu, empty) == mu.total_mass
 
 
 @settings(max_examples=100, deadline=None)
 @given(related_pairs(d=1))
 def test_projected_bound_is_tight_on_the_line(pair):
-    # in one dimension both grounds are the line's, and for equal masses the
+    # in one dimension the ground is the line's, and for equal masses the
     # 1-D transport is the whole transport; the bound gives up at most 1e-12
     # of its scale, total mass (<= 4) times coordinate reach (<= 2)
     mu, nu = pair
     assume(mu.total_mass == nu.total_mass)
-    for ground in (GROUND_L1, GROUND_L2):
-        assert _projected_lower_bound(ground.kind, mu, nu) == pytest.approx(
-            ot_unbalanced(mu, nu, ground), rel=1e-9, abs=1e-11
-        )
+    assert _projected_lower_bound(mu, nu) == pytest.approx(
+        ot_unbalanced(mu, nu, GROUND_L1), rel=1e-9, abs=1e-11
+    )

@@ -134,7 +134,6 @@ def test_model_dimension_validation():
     model = MpnnModel((identity_map(1), identity_map(2)), identity_map(2))
     assert model.depth == 1
     assert model.hidden_dims == (1, 2)
-    assert model.lipschitz_bound_D == 1.0
 
 
 # ------------------------------------------------------------- bofop forward

@@ -261,6 +261,30 @@ def test_equator_dict_uses_kernel_form(tmp_path):
     assert np.array_equal(loaded.kernel, generate(spec).kernel)
 
 
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(RING, {"n": 7}, features={"mode": "constant", "value": [0.5, -1.0]}),
+    GeneratorSpec(RING, {"n": 2}, aggregation=NORMALIZED_SUM),
+    GeneratorSpec(COMPLETE, {"n": 6}, aggregation=SYMMETRIC_AVERAGE,
+                  features={"mode": "uniform", "dim": 3}, seed=4),
+    GeneratorSpec(ERDOS_RENYI, {"n": 15, "p": 0.3}, aggregation=SYMMETRIC_AVERAGE,
+                  features={"mode": "uniform", "dim": 2}, seed=11),
+    GeneratorSpec(ERDOS_RENYI, {"n": 9, "p": 0.5},
+                  features={"mode": "list", "values": [i / 9 for i in range(9)]}, seed=2),
+    GeneratorSpec(GRAPHON_SAMPLE, {"n": 20, "kernel_expr": "exp(-abs(u - v))"},
+                  aggregation=NORMALIZED_SUM, features={"mode": "uniform", "dim": 1}, seed=8),
+    GeneratorSpec(EQUATOR, {"m": 60, "band_eps": 0.2},
+                  features={"mode": "uniform", "dim": 2}, seed=6),
+], ids=lambda spec: spec.kind)
+def test_generate_equals_the_file_route_bit_for_bit(spec, tmp_path):
+    path = tmp_path / "g.json"
+    save_graph_dict(generate_graph_dict(spec), path)
+    want = load_graph(path)
+    got = generate(spec)
+    assert got.n == want.n
+    for name in ("vertex_weights", "kernel", "features"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_graph_dict_rejects_mixed_forms():
     with pytest.raises(ValueError):
         bofop_from_graph_dict(

@@ -8,7 +8,6 @@ import bofop.measures as measures_module
 import bofop.profiles as profiles_module
 
 from bofop.measures import (
-    GROUND_L1,
     DiscreteMeasure,
     hausdorff_set_distance,
     measures_equal,
@@ -102,7 +101,8 @@ def test_atom_blocks_and_norm_bound():
     sample = sample_k_profile(b, 3, 12, seed=5)
     r = infty_norm(b)
     for member in sample.members:
-        tests, aggregated, sig = member.blocks()
+        atoms = member.measure.atoms
+        tests, aggregated, sig = atoms[:, :3], atoms[:, 3:6], atoms[:, 6:]
         assert np.abs(tests).max(initial=0.0) <= 1.0 + 1e-12
         assert np.abs(sig).max(initial=0.0) <= 1.0 + 1e-12
         assert np.abs(aggregated).max(initial=0.0) <= r + 1e-12
@@ -219,8 +219,8 @@ def test_mixed_member_zero_carries_signal_channels():
     rng = np.random.default_rng(13)
     b = random_bofop(rng, 6, d=2)
     sample = sample_k_profile(b, 3, 6, seed=2)
-    restricted = diagonal_restrict(sample, 2)
-    assert not restricted.restriction_empty
+    restricted = diagonal_restrict(sample)
+    assert restricted.members
 
 
 # ---------------------------------------------------------------- push_signal
@@ -232,7 +232,7 @@ def test_push_identity_and_constant():
     assert sets_equal(sample.members, same.members)
     const = push_signal(sample, SignalMap(lambda y: np.array([0.25]), 1, 1, 0.0))
     for member in const.members:
-        assert np.allclose(member.blocks()[2], 0.25)
+        assert np.allclose(member.measure.atoms[:, 2:], 0.25)
 
 
 def test_push_halves_indicator_example():
@@ -270,30 +270,28 @@ def test_push_commutes_with_representative():
 
 def test_restrict_keeps_signal_only_members():
     sample = ProfileSample(1, 1, (p_distribution(TRIANGLE, TRIANGLE.features.T),))
-    restricted = diagonal_restrict(sample, 1)
-    assert len(restricted.members) == len(sample.members)
-    assert not restricted.restriction_empty
+    restricted = diagonal_restrict(sample)
+    assert len(restricted.members) == len(sample.members) == 1
 
 
 def test_restrict_drops_off_diagonal_members_and_flags_empty():
     off = ProfileSample(1, 1, (p_distribution(TRIANGLE, [[0.5, 0.5, 0.5]]),))
-    restricted = diagonal_restrict(off, 1)
+    restricted = diagonal_restrict(off)
     assert restricted.members == ()
-    assert restricted.restriction_empty
-    marg = diagonal_marginalize(off, 1)
-    assert marg.members == () and marg.restriction_empty
+    marg = diagonal_marginalize(off)
+    assert marg.members == ()
     with pytest.raises(ValueError):
-        diagonal_restrict(off, 2)
+        diagonal_restrict(ProfileSample(0, 1, ()))
 
 
 def test_marginalize_triangle_and_p3_examples():
     tri_sample = ProfileSample(1, 1, (p_distribution(TRIANGLE, TRIANGLE.features.T),))
-    marg = diagonal_marginalize(tri_sample, 1)
+    marg = diagonal_marginalize(tri_sample)
     assert marg.k == 0 and marg.d == 2
     assert measures_equal(marg.members[0].measure, DiscreteMeasure(2, [[2.0, 1.0]], [1.0]))
 
     p3_sample = ProfileSample(1, 1, (p_distribution(P3, P3.features.T),))
-    marg = diagonal_marginalize(p3_sample, 1)
+    marg = diagonal_marginalize(p3_sample)
     expected = DiscreteMeasure(2, [[1.0, 1.0], [2.0, 1.0]], [2 / 3, 1 / 3])
     assert measures_equal(marg.members[0].measure, expected)
 
@@ -302,8 +300,8 @@ def test_marginalize_matches_aggregated_signal_profile():
     rng = np.random.default_rng(23)
     b = random_bofop(rng, 6, d=1)
     sample = sample_k_profile(b, 3, 10, seed=12)
-    restricted = diagonal_restrict(sample, 1)
-    marg = diagonal_marginalize(sample, 1)
+    restricted = diagonal_restrict(sample)
+    marg = diagonal_marginalize(sample)
     aggregated = FiniteBofopSignal(
         b.n,
         b.vertex_weights,
@@ -326,17 +324,17 @@ def test_push_contraction_on_profile_distance():
     b2 = random_bofop(rng, 5, d=1)
     s1 = sample_k_profile(b1, 1, 8, seed=1)
     s2 = sample_k_profile(b2, 1, 8, seed=1)
-    base = hausdorff_set_distance(s1.measures(), s2.measures(), GROUND_L1)
+    base = hausdorff_set_distance(s1.measures(), s2.measures())
 
     double = SignalMap(lambda y: np.array([y[0], y[0]]), 1, 2, 2.0)  # l1 constant 2
     lhs = hausdorff_set_distance(
-        push_signal(s1, double).measures(), push_signal(s2, double).measures(), GROUND_L1
+        push_signal(s1, double).measures(), push_signal(s2, double).measures()
     )
     assert lhs <= double.lipschitz * base + TOL
 
     shrink = SignalMap(lambda y: 0.3 * y, 1, 1, 0.3)
     lhs = hausdorff_set_distance(
-        push_signal(s1, shrink).measures(), push_signal(s2, shrink).measures(), GROUND_L1
+        push_signal(s1, shrink).measures(), push_signal(s2, shrink).measures()
     )
     # the test blocks pass through untouched, so the honest constant is max(1, L)
     assert lhs <= max(1.0, shrink.lipschitz) * base + TOL
@@ -351,9 +349,9 @@ def test_contractive_map_cannot_shrink_test_blocks():
     s1 = ProfileSample(1, 1, (m1,))
     s2 = ProfileSample(1, 1, (m2,))
     const = SignalMap(lambda y: np.zeros(1), 1, 1, 0.0)
-    before = hausdorff_set_distance(s1.measures(), s2.measures(), GROUND_L1)
+    before = hausdorff_set_distance(s1.measures(), s2.measures())
     after = hausdorff_set_distance(
-        push_signal(s1, const).measures(), push_signal(s2, const).measures(), GROUND_L1
+        push_signal(s1, const).measures(), push_signal(s2, const).measures()
     )
     assert before == pytest.approx(1.0, abs=TOL)
     assert after == pytest.approx(before, abs=TOL)
@@ -365,11 +363,11 @@ def test_projection_contracts_profile_distance():
     b2 = random_bofop(rng, 6, d=2)
     s1 = sample_k_profile(b1, 2, 8, seed=2)
     s2 = sample_k_profile(b2, 2, 8, seed=2)
-    base = hausdorff_set_distance(s1.measures(), s2.measures(), GROUND_L1)
+    base = hausdorff_set_distance(s1.measures(), s2.measures())
     drop = lambda x: x[[0, 2, 3, 4, 5]]  # drop one test coordinate block entry
     p1 = [pushforward_measure(m, drop) for m in s1.measures()]
     p2 = [pushforward_measure(m, drop) for m in s2.measures()]
-    assert hausdorff_set_distance(p1, p2, GROUND_L1) <= base + TOL
+    assert hausdorff_set_distance(p1, p2) <= base + TOL
 
 
 # ---------------------------------------------------------------- estimator
@@ -411,9 +409,9 @@ def test_shared_member_cannot_increase_set_distance():
     b2 = random_bofop(rng, 5, d=1)
     s1 = sample_k_profile(b1, 1, 6, seed=1).measures()
     s2 = sample_k_profile(b2, 1, 6, seed=1).measures()
-    base = hausdorff_set_distance(s1, s2, GROUND_L1)
+    base = hausdorff_set_distance(s1, s2)
     extra = p_distribution(TRIANGLE, [[0.0, 0.5, -0.5]]).measure
-    grown = hausdorff_set_distance(s1 + [extra], s2 + [extra], GROUND_L1)
+    grown = hausdorff_set_distance(s1 + [extra], s2 + [extra])
     assert grown <= base + TOL
 
 
@@ -437,7 +435,7 @@ def test_projected_bound_prunes_the_readme_er24_scan(monkeypatch):
         return exact(mu, nu, ground)
 
     monkeypatch.setattr(measures_module, "ot_unbalanced", counting)
-    value = hausdorff_set_distance(s1, s2, GROUND_L1)
+    value = hausdorff_set_distance(s1, s2)
     assert (len(s1), len(s2)) == (62, 62)
     assert len(solved) == 135
     assert value.hex() == "0x1.73221f1ee8e3ap-1"

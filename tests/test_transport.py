@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bofop.measures import (
     GROUND_L1,
@@ -16,7 +16,7 @@ from bofop.measures import (
     ot_unbalanced,
     transport_cost,
 )
-from ot_oracle import enumerate_tree_costs, ot_oracle, transport_oracle
+from ot_oracle import enumerate_tree_costs, feasibility_floor, ot_oracle, transport_oracle
 
 TOL = 1e-9
 
@@ -53,6 +53,10 @@ def transport_problems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(transport_problems())
+# a 1e-9 row that only a zero-capacity column could take for free: the
+# oracle must not pass the tree that ships it there as feasible
+@example((np.array([0.0, 1e-9]), np.array([0.0, 0.0, 1.0]),
+          np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])))
 def test_transport_cost_matches_oracle(problem):
     a, b, cost = problem
     want = transport_oracle(a, b, cost)
@@ -139,6 +143,7 @@ def _reference_tree_flow(edges, supply_rows, supply_cols):
     for idx, (i, j) in enumerate(edges):
         adj[i].append((idx, m + j))
         adj[m + j].append((idx, i))
+    floor = feasibility_floor(supply_rows, supply_cols)
     flows = [None] * len(edges)
     active = {node: len(neigh) for node, neigh in adj.items()}
     leaves = [node for node, deg in active.items() if deg == 1]
@@ -149,7 +154,7 @@ def _reference_tree_flow(edges, supply_rows, supply_cols):
             continue
         idx, other = next((idx, other) for idx, other in adj[node] if not used[idx])
         flow = remaining[node]
-        if flow < -1e-9:
+        if flow < -floor:
             return None
         flows[idx] = max(flow, 0.0)
         used[idx] = True

@@ -88,7 +88,7 @@ def test_k2_level1_structure():
     assert a.weights.sum() == 1.0
     (atom,) = a.atoms
     assert atom.level == 0 and atom.feature.tolist() == [1.0]
-    assert [weights.sum() for _, weights in a.level_measures] == [1.0]
+    assert a.parent.level == 0 and a.parent.feature.tolist() == [1.0]
 
 
 def test_2k1_level1_zero_measure():
@@ -105,8 +105,9 @@ def test_fiber_mass_consistency():
     didm = compute_idms(b, 3)
     row_mass = b.kernel.sum(axis=1)
     for i, tree in enumerate(didm.node_idms):
-        for _, weights in tree.level_measures:
-            assert weights.sum() == pytest.approx(row_mass[i], abs=1e-12)
+        while tree.level >= 1:
+            assert tree.weights.sum() == pytest.approx(row_mass[i], abs=1e-12)
+            tree = tree.parent
 
 
 # ---------------------------------------------------------------- distances
