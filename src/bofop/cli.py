@@ -42,6 +42,10 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except BrokenPipeError:  # a reader such as `head` closed stdout: Python's
+            # SIGPIPE recipe, so that the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
         # OverflowError: float() of a JSON integer too large for a double, as
         # a spec's p, an edge weight or a feature value
         except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError,

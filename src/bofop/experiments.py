@@ -19,15 +19,21 @@ from .operators import (
     EQUATOR,
     ERDOS_RENYI,
     GRAPHON_SAMPLE,
+    OBJECT,
+    OBJECT_OR_NULL,
     GeneratorSpec,
+    admit,
     aggregate,
     bofop_from_graph_dict,
+    count,
     edge_probabilities,
     generate,
     generate_graph_dict,
     infty_norm,
-    json_object,
+    list_of,
     materialize_features,
+    one_of,
+    real,
     spec_from_dict,
 )
 from .profiles import action_metric_estimate
@@ -44,44 +50,24 @@ JSON = "json"
 SVG = "svg"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
-
-
-def _is_list(value) -> bool:
-    return isinstance(value, (list, tuple))
-
-
-def _count(least):
-    return f"an integer >= {least}", lambda v: _is_int(v) and v >= least
-
-
-# What each config field admits, as (rule, test). A zero tolerance or
-# deviation would make its check vacuous, so those must be positive.
-_RULES = {
-    "kind": (f"one of {', '.join(KINDS)}", lambda v: v in KINDS),
-    "generators": ("a non-empty list of generator objects",
-                   lambda v: _is_list(v) and len(v) > 0 and all(isinstance(g, dict) for g in v)),
-    "sizes": ("a strictly increasing list of integers >= 1",
-              lambda v: _is_list(v) and all(_is_int(n) and n >= 1 for n in v)
-              and all(a < b for a, b in zip(v, v[1:]))),
-    "seeds": ("a non-empty list of integers >= 0",
-              lambda v: _is_list(v) and len(v) > 0 and all(_is_int(s) and s >= 0 for s in v)),
-    "labels": ("two labels, each a finite real",
-               lambda v: _is_list(v) and len(v) == 2 and all(map(_is_real, v))),
-    "model": ("a model object or null", lambda v: v is None or isinstance(v, dict)),
-    "models": ("a list of model objects",
-               lambda v: _is_list(v) and all(isinstance(m, dict) for m in v)),
-    **dict.fromkeys(("depth", "k_max"), _count(0)),
+# What each config field admits. A generator carries no seed, since the
+# config's seeds draw every graph. A zero tolerance or deviation would make
+# its check vacuous, so those must be positive.
+CONFIG_RULES = {
+    "kind": one_of(*KINDS),
+    "generators": list_of(OBJECT, "a non-empty list of generator objects without a seed key",
+                          lambda v: v and all("seed" not in g for g in v)),
+    "sizes": list_of(count(1), "a strictly increasing list of integers >= 1",
+                     lambda v: all(a < b for a, b in zip(v, v[1:]))),
+    "seeds": list_of(count(0), "a non-empty list of integers >= 0", bool),
+    "labels": list_of(real(), "two labels, each a finite real", lambda v: len(v) == 2),
+    "model": OBJECT_OR_NULL,
+    "models": list_of(OBJECT, "a list of model objects"),
+    **dict.fromkeys(("depth", "k_max"), count(0)),
     **dict.fromkeys(("num_samples", "pairs", "decay_reps", "hoeffding_n", "hoeffding_reps"),
-                    _count(1)),
-    "noise": ("a real number, finite and >= 0", lambda v: _is_real(v) and v >= 0),
-    **dict.fromkeys(("epsilon_action", "epsilon_didm", "deviation_k"),
-                    ("a real number, finite and > 0", lambda v: _is_real(v) and v > 0)),
+                    count(1)),
+    "noise": real("[0, inf)"),
+    **dict.fromkeys(("epsilon_action", "epsilon_didm", "deviation_k"), real("(0, inf)")),
 }
 
 # The most entries each kind reads from a list field; a config giving more
@@ -94,9 +80,9 @@ _MOST_READ = {
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Every value a config admits is decided here, before anything runs; the
-    runners check only what their kind needs beyond it. Values are checked,
-    never converted: the report embeds the config as given."""
+    """Every value a config admits is decided by CONFIG_RULES, before anything
+    runs; the runners check only what their kind needs beyond it. Counts are
+    stored as ints and reals as given, so the report embeds the config."""
 
     kind: str
     generators: tuple
@@ -118,23 +104,17 @@ class ExperimentConfig:
     deviation_k: float = 0.1
 
     def __post_init__(self):
-        for name, (rule, admits) in _RULES.items():
-            value = getattr(self, name)
-            if not admits(value):
-                raise ValueError(f"{name} must be {rule}, got {value!r}")
+        for name, value in admit(dict(vars(self)), CONFIG_RULES, "config").items():
+            object.__setattr__(self, name, value)
         for name, most in _MOST_READ[self.kind].items():
             given = len(getattr(self, name))
             if given > most:
                 raise ValueError(f"{name} must be a list of at most {most} for "
                                  f"{self.kind}, which reads no more, got {given}")
-        for name in ("generators", "sizes", "seeds", "models", "labels"):
-            items = tuple(dict(v) if isinstance(v, dict) else v for v in getattr(self, name))
-            object.__setattr__(self, name, items)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    json_object(d, [f.name for f in fields(ExperimentConfig)], "config")
-    return ExperimentConfig(**d)
+    return ExperimentConfig(**admit(d, CONFIG_RULES, "config"))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

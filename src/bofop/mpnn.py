@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscreteMeasure, GROUND_L1, measures_equal, ot_unbalanced
-from .operators import FiniteBofopSignal, apply_operator, json_object, real_array, real_value
+from .operators import FiniteBofopSignal, admit, apply_operator, list_of, real, reals, rule
 from .profiles import (
     ProfileSample,
     SignalMap,
@@ -399,15 +399,25 @@ def _map_to_dict(m: CertifiedMap) -> dict:
     return out
 
 
+# What a map and a model file admit; the constructors check the dimensions.
+MAP_RULES = {
+    "weight": reals(),
+    "bias": reals(),
+    # a bare name stays intact so the constructor broadcasts it per coordinate
+    "nonlinearity": rule(f"one of {', '.join(NONLINEARITIES)} or a list of them",
+                         lambda v: v in NONLINEARITIES or isinstance(v, list)
+                         and all(name in NONLINEARITIES for name in v)),
+    "lipschitz": real("[0, inf)"),
+}
+
+
 def _map_from_dict(d: dict) -> CertifiedMap:
-    json_object(d, ("weight", "bias", "nonlinearity", "lipschitz"), "map")
-    weight, bias = real_array(d["weight"], "weight"), real_array(d["bias"], "bias")
-    lipschitz = d.get("lipschitz")
-    # keep a bare string intact so the constructor broadcasts it per coordinate
-    return CertifiedMap(
-        weight, bias, d.get("nonlinearity", CLAMP),
-        None if lipschitz is None else real_value(lipschitz, "lipschitz"),
-    )
+    d = admit(d, MAP_RULES, "map")
+    return CertifiedMap(d["weight"], d["bias"], d.get("nonlinearity", CLAMP), d.get("lipschitz"))
+
+
+_MAP = lambda value, field: _map_from_dict(value)
+MODEL_RULES = {"updates": list_of(_MAP, "a list of maps"), "readout": _MAP}
 
 
 def model_to_dict(model: MpnnModel) -> dict:
@@ -418,13 +428,7 @@ def model_to_dict(model: MpnnModel) -> dict:
 
 
 def model_from_dict(d: dict) -> MpnnModel:
-    json_object(d, ("updates", "readout"), "model")
-    if not isinstance(d["updates"], list):
-        raise ValueError(f"model updates must be a list, got {type(d['updates']).__name__}")
-    return MpnnModel(
-        tuple(_map_from_dict(u) for u in d["updates"]),
-        _map_from_dict(d["readout"]),
-    )
+    return MpnnModel(**admit(d, MODEL_RULES, "model", "model "))
 
 
 def load_model(path) -> MpnnModel:

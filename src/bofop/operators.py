@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import numbers
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,46 +29,101 @@ RING = "ring"
 COMPLETE = "complete"
 
 
-def _integer(value, field) -> int:
-    """A count or vertex index read from a file, as an int. Integral floats
-    pass; booleans, fractions, non-finite values and non-numbers are rejected
-    with a message that names the field, never truncated."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_)):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{field} must be an integer, got {value!r}")
+# ------------------------------------------------------------- input rules
+# Each document read from a file has a table of rules, one per key, beside
+# its reader; admit checks the document against it. A rule(value, field)
+# returns the value to store or raises "<field> must be <rule>, got <value>".
 
 
-def real_value(value, field) -> float:
-    """A real number read from a file, as a float. JSON integers and floats
-    pass; booleans, strings, nulls and lists are rejected with a message that
-    names the field, never converted."""
-    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
-        return float(value)
-    raise ValueError(f"{field} must be a real number, got {value!r}")
+def rule(text, test, store=None):
+    """The rule admitting a value for which test holds, as store(value)."""
+
+    def admit(value, field):
+        if test(value):
+            return value if store is None else store(value)
+        raise ValueError(f"{field} must be {text}, got {value!r}")
+
+    return admit
 
 
-def json_object(value, allowed, what):
-    """Check that a value read from a file is a JSON object whose keys all lie
-    in allowed; the error names the value as what."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
-    unknown = set(value) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+def _is_real(value) -> bool:
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)))
 
 
-def real_array(values, field) -> np.ndarray:
-    """A scalar or nested list of real numbers read from a file, as a float
-    array; every entry is held to real_value's rule. The rule is checked once
-    per distinct entry type, so a large kernel costs one pass in C."""
-    entries = np.asarray(values, dtype=object)
-    for kind in set(map(type, entries.flat)):
-        if not issubclass(kind, numbers.Real) or issubclass(kind, (bool, np.bool_)):
-            bad = next(v for v in entries.flat if type(v) is kind)
-            raise ValueError(f"{field} entries must be real numbers, got {bad!r}")
-    return entries.astype(float)
+def count(least, text=None):
+    """An integer >= least, stored as an int: integral floats pass, and
+    fractions, booleans and non-finite values are refused, never truncated."""
+    return rule(text or f"an integer >= {least}",
+                lambda v: _is_real(v) and float(v).is_integer() and v >= least, int)
+
+
+def real(interval="(-inf, inf)"):
+    """A finite real number in an interval written as "[0, 1)", stored as
+    given: strings and booleans are refused, never converted."""
+    low, high = map(float, interval[1:-1].split(","))
+    closed = interval[0] == "[", interval[-1] == "]"
+    return rule(f"a real number in {interval}", lambda v: _is_real(v) and math.isfinite(v)
+                and (low <= v if closed[0] else low < v) and (v <= high if closed[1] else v < high))
+
+
+def reals(interval="(-inf, inf)"):
+    """Real numbers, alone or in nested lists, each finite and within the
+    interval's ends, stored as a float array. Entry types are checked once
+    per distinct type, so a large kernel costs one pass in C."""
+    low, high = map(float, interval[1:-1].split(","))
+
+    def admit(values, field):
+        entries = np.asarray(values, dtype=object)
+        for kind in set(map(type, entries.flat)):
+            if not issubclass(kind, numbers.Real) or issubclass(kind, (bool, np.bool_)):
+                bad = next(v for v in entries.flat if type(v) is kind)
+                break
+        else:
+            out = entries.astype(float)
+            inside = np.isfinite(out) & (out >= low) & (out <= high)
+            if inside.all():
+                return out
+            bad = entries.flat[np.argmin(inside)]
+        raise ValueError(f"{field} must be real numbers in {interval}, got {bad!r}")
+
+    return admit
+
+
+def one_of(*values):
+    return rule(f"one of {', '.join(map(str, values))}", values.__contains__)
+
+
+def list_of(item, text, holds=lambda entries: True):
+    """A list of entries that keep the item rule, stored as a tuple for which
+    holds must hold."""
+
+    def admit(value, field):
+        if isinstance(value, (list, tuple)):
+            out = tuple(item(entry, field) for entry in value)
+            if holds(out):
+                return out
+        raise ValueError(f"{field} must be {text}, got {value!r}")
+
+    return admit
+
+
+OBJECT = rule("an object", lambda v: isinstance(v, dict), dict)
+OBJECT_OR_NULL = rule("an object or null", lambda v: v is None or isinstance(v, dict),
+                      lambda v: None if v is None else dict(v))
+
+
+def admit(doc, table, what, prefix=""):
+    """The stored values of a document: an object with no key outside its
+    table, each field (named prefix + key) keeping its rule."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {type(doc).__name__}")
+    if not doc.keys() <= table.keys():
+        raise ValueError(f"unknown {what} keys: {sorted(doc.keys() - table.keys())}")
+    stored = {}
+    for key, value in doc.items():
+        stored[key] = table[key](value, prefix + key)
+    return stored
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +170,10 @@ class FiniteBofopSignal:
         return self.features.shape[1]
 
 
+_INDEX = count(0)
+_WEIGHT = real("[0, inf)")
+
+
 def from_graph(n, edges, features, aggregation, vertex_weights=None) -> FiniteBofopSignal:
     """Build a bofop-signal from an undirected weighted edge list.
 
@@ -125,13 +185,11 @@ def from_graph(n, edges, features, aggregation, vertex_weights=None) -> FiniteBo
     for edge in edges:
         if len(edge) != 3:
             raise ValueError(f"edge must be (i, j, weight), got {edge!r}")
-        i = _integer(edge[0], "edge vertex index")
-        j = _integer(edge[1], "edge vertex index")
-        w = real_value(edge[2], "edge weight")
-        if not (0 <= i < n and 0 <= j < n):
+        i = _INDEX(edge[0], "edge vertex index")
+        j = _INDEX(edge[1], "edge vertex index")
+        w = _WEIGHT(edge[2], "edge weight")
+        if not (i < n and j < n):
             raise ValueError(f"vertex index out of range in edge {edge!r}")
-        if w < 0 or not np.isfinite(w):
-            raise ValueError(f"negative or non-finite weight in edge {edge!r}")
         key = (min(i, j), max(i, j))
         if key in seen and seen[key] != w:
             raise ValueError(f"inconsistent duplicate edge {key} with weights {seen[key]} and {w}")
@@ -253,12 +311,10 @@ def disjoint_union(a: FiniteBofopSignal, b: FiniteBofopSignal) -> FiniteBofopSig
 class GeneratorSpec:
     """Recipe for a random bofop-signal; everything is determined by the seed.
 
-    kind/params: erdos_renyi {n, p}, graphon_sample {n, kernel_expr},
-    equator {m, band_eps}, ring {n}, complete {n}.
-    features: {"mode": "constant", "value": ...} | {"mode": "uniform", "dim": d}
-    | {"mode": "list", "values": [[...]]}; default constant 1.
-    The equator construction fixes its own row normalization, so the
-    aggregation field is ignored for that kind.
+    PARAMS_RULES lists the params of each kind and FEATURES_RULES the
+    features of each mode (default constant 1); spec_from_dict checks them,
+    the constructor does not. The equator construction fixes its own row
+    normalization, so the aggregation field is ignored for that kind.
     """
 
     kind: str
@@ -268,22 +324,38 @@ class GeneratorSpec:
     seed: int = 0
 
 
-_SPEC_KEYS = {f.name for f in fields(GeneratorSpec)}
+PARAMS_RULES = {
+    ERDOS_RENYI: {"n": count(1), "p": real("[0, 1]")},
+    GRAPHON_SAMPLE: {"n": count(1), "kernel_expr": rule("a string", lambda v: isinstance(v, str))},
+    EQUATOR: {"m": count(1), "band_eps": real("(0, 1)")},
+    RING: {"n": count(1)},
+    COMPLETE: {"n": count(1)},
+}
+_MODE = one_of("constant", "uniform", "list")
+FEATURES_RULES = {
+    "constant": {"mode": _MODE, "value": reals("[-1, 1]")},
+    "uniform": {"mode": _MODE, "dim": count(1)},
+    "list": {"mode": _MODE, "values": reals("[-1, 1]")},
+}
+SPEC_RULES = {
+    "kind": one_of(*PARAMS_RULES),
+    "params": OBJECT,
+    "aggregation": one_of(*AGGREGATIONS),
+    "features": OBJECT_OR_NULL,
+    # null would draw from OS entropy: the same spec would give other graphs
+    "seed": count(0),
+}
 
 
 def spec_from_dict(d: dict) -> GeneratorSpec:
-    """Read a generator spec dict into a spec with its own params dict; keys
-    outside _SPEC_KEYS are rejected, and so are params and features keys that
-    the kind or feature mode does not read, when the spec is generated."""
-    json_object(d, _SPEC_KEYS, "generator spec")
-    kind, params, features = d["kind"], d.get("params", {}), d.get("features")
-    if not isinstance(params, dict):
-        raise ValueError(f"params must be an object, got {params!r}")
-    if not (features is None or isinstance(features, dict)):
-        raise ValueError(f"features must be an object or null, got {features!r}")
-    return GeneratorSpec(
-        kind, dict(params), d.get("aggregation", SUM), features, d.get("seed", 0)
-    )
+    """Read a generator spec dict into a spec with its own params dict."""
+    d = admit(d, SPEC_RULES, "generator spec")
+    kind, features = d["kind"], d.get("features")
+    d["params"] = admit(d.get("params", {}), PARAMS_RULES[kind], f"{kind} params", f"{kind} ")
+    if features is not None:
+        mode = _MODE(features.get("mode"), "features mode")
+        d["features"] = admit(features, FEATURES_RULES[mode], f"{mode} features", "features ")
+    return GeneratorSpec(**d)
 
 
 _EXPR_NAMES = {
@@ -341,21 +413,14 @@ def kernel_expr_probabilities(expr, latents) -> np.ndarray:
 
 
 def edge_probabilities(kind, params, rng, batch):
-    """Check erdos_renyi or graphon_sample params and return (n, probs), with
-    probs broadcastable to batch + (n, n): p itself for erdos_renyi. Graphon
+    """(n, probs) for erdos_renyi or graphon_sample params, with probs
+    broadcastable to batch + (n, n): p itself for erdos_renyi. Graphon
     latents are drawn from rng."""
-    json_object(params, ("n", "p") if kind == ERDOS_RENYI else ("n", "kernel_expr"),
-                f"{kind} params")
-    n = _integer(params["n"], f"{kind} n")
+    n = params["n"]
     if kind == ERDOS_RENYI:
-        p = real_value(params["p"], "erdos_renyi p")
-        if not (0.0 <= p <= 1.0) or n < 1:
-            raise ValueError("erdos_renyi needs n >= 1 and p in [0, 1]")
-        return n, p
-    if n < 1:
-        raise ValueError("graphon_sample needs n >= 1")
+        return n, params["p"]
     latents = rng.uniform(0.0, 1.0, (*batch, n))
-    return n, kernel_expr_probabilities(str(params["kernel_expr"]), latents)
+    return n, kernel_expr_probabilities(params["kernel_expr"], latents)
 
 
 def materialize_features(features, shape, rng) -> np.ndarray:
@@ -364,30 +429,20 @@ def materialize_features(features, shape, rng) -> np.ndarray:
     features = features or {"mode": "constant", "value": 1.0}
     mode = features.get("mode")
     if mode == "uniform":
-        json_object(features, ("mode", "dim"), "uniform features")
-        # in [-1, 1) by construction, so it skips the range check below
-        dim = _integer(features.get("dim", 1), "features dim")
-        if dim < 1:
-            raise ValueError(f"features dim must be >= 1, got {dim}")
-        return rng.uniform(-1.0, 1.0, (*shape, dim))
+        return rng.uniform(-1.0, 1.0, (*shape, features.get("dim", 1)))
     if mode == "constant":
-        json_object(features, ("mode", "value"), "constant features")
-        value = np.atleast_1d(real_array(features.get("value", 1.0), "features value"))
-        out = np.tile(value, (*shape, 1))
-    elif mode == "list":
-        json_object(features, ("mode", "values"), "list features")
+        value = np.atleast_1d(np.asarray(features.get("value", 1.0), dtype=float))
+        return np.tile(value, (*shape, 1))
+    if mode == "list":
         if len(shape) != 1:
             raise ValueError("list features describe one graph, not a batch")
-        out = real_array(features["values"], "features values")
+        out = np.asarray(features["values"], dtype=float)
         if out.ndim < 2:
             out = out.reshape(-1, 1)
         if out.shape[0] != shape[0]:
             raise ValueError(f"feature list has {out.shape[0]} rows, graph has {shape[0]} vertices")
-    else:
-        raise ValueError(f"unknown feature mode {mode!r}")
-    if not np.all(np.abs(out) <= 1.0):
-        raise ValueError("features must lie in [-1, 1]")
-    return out
+        return out
+    raise ValueError(f"unknown feature mode {mode!r}")
 
 
 def _generate_structure(spec: GeneratorSpec, rng):
@@ -401,11 +456,7 @@ def _generate_structure(spec: GeneratorSpec, rng):
         edges = [[int(i), int(j), 1.0] for i, j in zip(iu[mask], ju[mask])]
         return "edges", n, edges
     if kind == EQUATOR:
-        json_object(params, ("m", "band_eps"), "equator params")
-        m = _integer(params["m"], "equator m")
-        eps = real_value(params["band_eps"], "equator band_eps")
-        if m < 1 or not (0.0 < eps < 1.0):
-            raise ValueError("equator needs m >= 1 and band_eps in (0, 1)")
+        m, eps = params["m"], params["band_eps"]
         points = rng.normal(size=(m, 3))
         points /= np.linalg.norm(points, axis=1, keepdims=True)
         band = np.abs(points @ points.T) <= eps
@@ -421,10 +472,7 @@ def _generate_structure(spec: GeneratorSpec, rng):
         kernel[nz] = band[nz] / deg[nz, None]
         return "kernel", m, kernel
     if kind == RING:
-        json_object(params, ("n",), "ring params")
-        n = _integer(params["n"], "ring n")
-        if n < 1:
-            raise ValueError("ring needs n >= 1")
+        n = params["n"]
         edges = []
         if n == 2:
             edges = [[0, 1, 1.0]]
@@ -432,10 +480,7 @@ def _generate_structure(spec: GeneratorSpec, rng):
             edges = [[i, (i + 1) % n, 1.0] for i in range(n)]
         return "edges", n, edges
     if kind == COMPLETE:
-        json_object(params, ("n",), "complete params")
-        n = _integer(params["n"], "complete n")
-        if n < 1:
-            raise ValueError("complete needs n >= 1")
+        n = params["n"]
         iu, ju = np.triu_indices(n, k=1)
         edges = [[int(i), int(j), 1.0] for i, j in zip(iu, ju)]
         return "edges", n, edges
@@ -459,8 +504,6 @@ def generate_graph_dict(spec: GeneratorSpec) -> dict:
     form, n, payload, features = _draw(spec)
     out = {"n": n, "features": features.tolist()}
     if form == "edges":
-        if spec.aggregation not in AGGREGATIONS:
-            raise ValueError(f"unknown aggregation {spec.aggregation!r}")
         out["edges"] = payload
         out["aggregation"] = spec.aggregation
     else:
@@ -468,27 +511,28 @@ def generate_graph_dict(spec: GeneratorSpec) -> dict:
     return out
 
 
+# What a graph file admits; from_graph checks each edge.
+GRAPH_RULES = {
+    # named "graph n", as its errors always were
+    "n": lambda v, field: count(1, "an integer n >= 1")(v, "graph n"),
+    "edges": rule("a list of [i, j, weight] edges", lambda v: isinstance(v, list)),
+    "aggregation": one_of(*AGGREGATIONS),
+    "features": reals(),
+    "vertex_weights": reals(),
+    "kernel": reals("[0, inf)"),
+}
+
+
 def bofop_from_graph_dict(d: dict) -> FiniteBofopSignal:
-    """Read the graph JSON form: either edges + aggregation, or a raw kernel.
-    Unknown keys and n < 1 are rejected."""
-    json_object(d, ("n", "edges", "aggregation", "features", "vertex_weights", "kernel"),
-                "graph")
-    n = _integer(d["n"], "graph n")
-    if n < 1:
-        raise ValueError(f"graph needs n >= 1, got {n}")
-    features = real_array(d["features"], "features")
-    vertex_weights = d.get("vertex_weights")
-    if vertex_weights is not None:
-        vertex_weights = real_array(vertex_weights, "vertex_weights")
+    """Read the graph JSON form: either edges + aggregation, or a raw kernel,
+    each field admitted by GRAPH_RULES."""
+    d = admit(d, GRAPH_RULES, "graph")
+    n, features = d["n"], d["features"]
+    vertex_weights = d.get("vertex_weights", np.full(n, 1.0 / n))
     if "kernel" in d:
         if "edges" in d or "aggregation" in d:
             raise ValueError("graph dict must carry either a kernel or edges, not both")
-        kernel = real_array(d["kernel"], "kernel")
-        if np.any(kernel < 0):
-            raise ValueError("kernel entries must be nonnegative")
-        if vertex_weights is None:
-            vertex_weights = np.full(n, 1.0 / n)
-        return FiniteBofopSignal(n, vertex_weights, kernel, features)
+        return FiniteBofopSignal(n, vertex_weights, d["kernel"], features)
     return from_graph(n, d["edges"], features, d["aggregation"], vertex_weights)
 
 

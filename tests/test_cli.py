@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import bofop
 from bofop.cli import main
-from bofop.mpnn import model_to_dict, random_model, save_model
+from bofop.experiments import CONFIG_RULES
+from bofop.mpnn import MAP_RULES, MODEL_RULES, model_to_dict, random_model, save_model
 from bofop.operators import (
-    SUM, GeneratorSpec, bofop_from_graph_dict, from_graph, generate_graph_dict, save_graph_dict,
+    FEATURES_RULES, GRAPH_RULES, PARAMS_RULES, RING, SPEC_RULES, SUM, GeneratorSpec,
+    bofop_from_graph_dict, from_graph, generate_graph_dict, save_graph_dict,
 )
 
 
@@ -574,8 +576,10 @@ def test_every_command_runs_without_scipy(tmp_path):
 # ------------------------------------------------------- malformed input files
 
 
-_SPEC = {"kind": "erdos_renyi", "params": {"n": 4, "p": 0.5}, "aggregation": "normalized_sum",
-         "features": {"mode": "uniform", "dim": 1}, "seed": 3}
+# a config's seeds draw its graphs, so its generators carry no seed
+_GENERATOR = {"kind": "erdos_renyi", "params": {"n": 4, "p": 0.5},
+              "aggregation": "normalized_sum", "features": {"mode": "uniform", "dim": 1}}
+_SPEC = {**_GENERATOR, "seed": 3}
 _MODEL = {
     "updates": [
         {"weight": [[0.5], [-0.4]], "bias": [0.1, -0.2], "nonlinearity": ["clamp", "clamp"]},
@@ -584,7 +588,7 @@ _MODEL = {
     ],
     "readout": {"weight": [[0.5]], "bias": [-0.3]},
 }
-_CONFIG = {"kind": "fineness", "generators": [_SPEC], "sizes": [], "depth": 1, "k_max": 1,
+_CONFIG = {"kind": "fineness", "generators": [_GENERATOR], "sizes": [], "depth": 1, "k_max": 1,
            "num_samples": 2, "seeds": [0], "pairs": 1, "noise": 0.01, "epsilon_action": 0.05,
            "epsilon_didm": 0.1, "model": None, "models": [], "labels": [1.0, -1.0],
            "decay_reps": 1, "hoeffding_n": 2, "hoeffding_reps": 1, "deviation_k": 0.1}
@@ -600,12 +604,17 @@ _VALID_FILES = {
                      "features": {"mode": "list", "values": [[0.1], [0.2], [0.3]]}},
     "equator_spec": {"kind": "equator", "params": {"m": 6, "band_eps": 0.3},
                      "features": {"mode": "constant", "value": 0.5}},
+    "ring_spec": {"kind": "ring", "params": {"n": 5}, "aggregation": "symmetric_average",
+                  "features": {"mode": "constant", "value": [0.5, -0.5]}},
+    "complete_spec": {"kind": "complete", "params": {"n": 4}, "seed": 0,
+                      "features": {"mode": "list", "values": [0.1, 0.2, 0.3, 0.4]}},
     "model": _MODEL,
     "fineness_config": _CONFIG,
     "continuity_config": {**_CONFIG, "kind": "continuity", "model": _MODEL},
     "convergence_config": {**_CONFIG, "kind": "convergence", "sizes": [3, 4]},
-    "generalization_config": {**_CONFIG, "kind": "generalization", "generators": [_SPEC, _SPEC],
-                              "sizes": [2, 4], "models": [_MODEL]},
+    "generalization_config": {**_CONFIG, "kind": "generalization",
+                              "generators": [_GENERATOR, _GENERATOR], "sizes": [2, 4],
+                              "models": [_MODEL]},
 }
 _DELETE = object()
 # wrong JSON types, non-finite and out-of-range numbers; all small, so no
@@ -683,3 +692,127 @@ def test_malformed_files_exit_one_without_traceback(family, data, tmp_path):
             assert res.exit_code == 0, (args, res.output)
         if res.exit_code == 1:
             assert res.output.startswith("error:") or "\nerror:" in res.output, res.output
+
+
+def _spec_documents(spec):
+    yield "spec", spec
+    yield f"{spec['kind']} params", spec.get("params", {})
+    if spec.get("features"):
+        yield f"{spec['features']['mode']} features", spec["features"]
+
+
+def _model_documents(model):
+    yield "model", model
+    for layer in (*model["updates"], model["readout"]):
+        yield "map", layer
+
+
+def _documents(family, doc):
+    """(table name, document) for a file and each document nested in it."""
+    if family.endswith("graph"):
+        yield "graph", doc
+    elif family.endswith("spec"):
+        yield from _spec_documents(doc)
+    elif family == "model":
+        yield from _model_documents(doc)
+    else:
+        yield "config", doc
+        for generator in doc["generators"]:
+            yield from _spec_documents(generator)
+        for model in (doc["model"], *doc["models"]):
+            if model is not None:
+                yield from _model_documents(model)
+
+
+def test_malformed_files_reach_every_table_field():
+    """Every key that a rule table names is in some well-formed document, so
+    the property test above can break it."""
+    tables = {"graph": GRAPH_RULES, "spec": SPEC_RULES, "map": MAP_RULES, "model": MODEL_RULES,
+              "config": CONFIG_RULES,
+              **{f"{kind} params": table for kind, table in PARAMS_RULES.items()},
+              **{f"{mode} features": table for mode, table in FEATURES_RULES.items()}}
+    reached = {(name, key) for family, doc in _VALID_FILES.items()
+               for name, nested in _documents(family, doc) for key in nested}
+    missing = [(name, key) for name, table in tables.items() for key in table
+               if (name, key) not in reached]
+    assert not missing
+
+
+def _reader(family, path, graph, out):
+    """A command that reads the file at path as a document of the family."""
+    return {
+        "graph": ["wl", "run", path, "--rounds", "1"],
+        "spec": ["graph", "generate", "--spec", path, "--out", out],
+        "config": ["experiment", "run", "--config", path, "--out", out],
+        "model": ["mpnn", "forward", "--model", path, "--graph", graph, "--via", "bofop"],
+    }[family]
+
+
+_GRAPHON = {"kind": "graphon_sample", "params": {"n": 4, "kernel_expr": "u * v"}}
+_EDGES = {"n": 2, "edges": [[0, 1, 1.0]], "aggregation": "sum", "features": [[1.0], [1.0]]}
+
+
+@pytest.mark.parametrize("family, doc, field", [
+    ("spec", {**ER8, "seed": None}, "seed"),
+    ("spec", {**ER8, "seed": True}, "seed"),
+    ("spec", {**ER8, "seed": [1, 2]}, "seed"),
+    ("spec", {**ER8, "seed": 1.5}, "seed"),
+    ("spec", {**ER8, "seed": "3"}, "seed"),
+    ("spec", {**ER8, "seed": -1}, "seed"),
+    ("config", {"kind": "fineness", "generators": [{**ER8, "seed": 5}], "pairs": 1, "depth": 1,
+                "k_max": 1, "num_samples": 4}, "generators"),
+    ("spec", {**_GRAPHON, "params": {"n": 4, "kernel_expr": 0.5}}, "graphon_sample kernel_expr"),
+    ("spec", {"kind": "equator", "params": {"m": 6, "band_eps": 0.3}, "aggregation": "bogus"},
+     "aggregation"),
+    ("graph", {**_EDGES, "edges": {}}, "edges"),
+    ("graph", {**_EDGES, "edges": ""}, "edges"),
+    ("model", {"updates": [{**_LAYER, "nonlinearity": {"tanh": 1}}], "readout": _LAYER},
+     "nonlinearity"),
+    ("model", {"updates": [{**_LAYER, "nonlinearity": 5}], "readout": _LAYER}, "nonlinearity"),
+])
+def test_values_outside_their_rule_exit_one(family, doc, field, tmp_path):
+    # each of these once ran: a null seed drew from OS entropy, a config
+    # generator's seed was ignored, and the rest were converted or ignored
+    graph = tmp_path / "g.json"
+    write_graph(graph)
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, _reader(family, str(path), str(graph), str(out)))
+    assert_guarded_error(res)
+    assert f"error: {field} must be " in res.output, res.output
+    if family == "config":
+        assert "seed" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 3.0])
+def test_a_spec_file_writes_the_same_graph_every_run(seed, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**ER8, "seed": seed}))
+    written = []
+    for name in ("a.json", "b.json"):
+        res = CliRunner().invoke(main, _reader("spec", str(spec), None, str(tmp_path / name)))
+        assert res.exit_code == 0, res.output
+        written.append((tmp_path / name).read_bytes())
+    assert written[0] == written[1]
+
+
+def test_a_closed_stdout_is_not_an_error(tmp_path):
+    # a reader that stops early, as `| head -c 50` does, closes the pipe while
+    # the per-node lines are still being written: about 86 kB here, more than
+    # a 64 kB pipe buffer holds
+    graph = tmp_path / "ring.json"
+    save_graph_dict(generate_graph_dict(GeneratorSpec(RING, {"n": 3000})), graph)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bofop.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bofop.cli", "wl", "run", str(graph), "--rounds", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.wait(timeout=300)
+    proc.stderr.close()
+    assert head.startswith(b"node 0: classical color")
+    assert "error:" not in err and "Traceback" not in err, err
