@@ -158,45 +158,51 @@ _PIVOTS_PER_BASIC_CELL = 50
 
 
 def _check_transport_input(a, b, cost):
+    # one min and one max per array: NaN fails the min test, so any entry
+    # that is not finite and nonnegative fails one of the two
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     cost = np.asarray(cost, dtype=float)
     for w in (a, b):
         if w.ndim != 1:
             raise ValueError(f"weights must be 1-dimensional, got shape {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
+        if w.size and not (w.min() >= 0.0 and w.max() < np.inf):
             raise ValueError("weights must be finite and nonnegative")
     if cost.shape != (a.shape[0], b.shape[0]):
         raise ValueError(
             f"cost matrix shape {cost.shape} does not match the weight "
             f"lengths ({a.shape[0]}, {b.shape[0]})"
         )
-    if not np.all(np.isfinite(cost)) or np.any(cost < 0):
+    if cost.size and not (cost.min() >= 0.0 and cost.max() < np.inf):
         raise ValueError("cost matrix entries must be finite and nonnegative")
     return a, b, cost
 
 
-def _balanced_problem(a, b, cost):
-    """The balanced problem behind transport_cost, for two nonzero masses.
+def _balanced_problem(a, b, cost, mass_a=None, mass_b=None):
+    """The balanced problem behind transport_cost, for two nonzero masses
+    (summed here unless the caller passes them).
 
     Zero weights are dropped, the lighter side becomes the rows, and a
     zero-cost virtual row carries the mass gap. The row and column totals
     agree up to rounding in the last bits.
     """
-    mass_a = float(a.sum())
-    mass_b = float(b.sum())
+    if mass_a is None:
+        mass_a, mass_b = float(a.sum()), float(b.sum())
     if mass_a > mass_b:
         a, b, cost = b, a, cost.T
         mass_a, mass_b = mass_b, mass_a
-    keep_a = a > 0.0
-    keep_b = b > 0.0
-    a = a[keep_a]
-    b = b[keep_b]
-    cost = cost[np.ix_(keep_a, keep_b)]
+    if not (a.all() and b.all()):
+        keep_a = a > 0.0
+        keep_b = b > 0.0
+        a = a[keep_a]
+        b = b[keep_b]
+        cost = cost[np.ix_(keep_a, keep_b)]
     gap = mass_b - mass_a
     if gap > 0.0:
-        a = np.append(a, gap)
-        cost = np.vstack([cost, np.zeros((1, b.shape[0]))])
+        a = np.concatenate((a, [gap]))
+        padded = np.zeros((a.shape[0], b.shape[0]))
+        padded[:-1] = cost
+        cost = padded
     return a, b, cost
 
 
@@ -259,6 +265,14 @@ def _transport_simplex(a, b, cost):
     met when the cycle is walked from its apex in the direction of the
     entering cell. Strongly feasible trees cannot cycle, so degenerate
     pivots end; a pivot bound still guards the loop and raises RuntimeError.
+
+    Potentials, parent links and depths come from one walk down from the
+    root, pot[child] = cost[cell] - pot[parent], so each potential is fixed
+    by its root path. A pivot cuts off the subtree below the leaving cell,
+    which holds column q if that cell lies on q's side of the cycle and row
+    p otherwise, and re-hangs it from the entering cell (p, q). Only that
+    subtree is walked again: every other node keeps its root path, and so
+    the bits of its potential, exactly as a walk of the whole tree gives.
     """
     m, n = cost.shape
     c = cost.tolist()
@@ -269,16 +283,14 @@ def _transport_simplex(a, b, cost):
     for e in range(len(rows)):
         incident[rows[e]].append(e)
         incident[m + cols[e]].append(e)
-    tol = _REDUCED_COST_RTOL * float(cost.max())
-    max_pivots = _PIVOTS_PER_BASIC_CELL * (m + n - 1)
-    pivots = 0
-    while True:
-        # potentials, parent links and depths by a walk from the root
-        pot = [0.0] * (m + n)
-        up_edge = [-1] * (m + n)
-        up_node = [-1] * (m + n)
-        depth = [0] * (m + n)
-        order = [root]
+    pot = [0.0] * (m + n)
+    up_edge = [-1] * (m + n)
+    up_node = [-1] * (m + n)
+    depth = [0] * (m + n)
+
+    def hang(top):
+        # potentials, parent links and depths below top, whose own are set
+        order = [top]
         for node in order:
             for e in incident[node]:
                 if e == up_edge[node]:
@@ -289,6 +301,12 @@ def _transport_simplex(a, b, cost):
                 up_node[child] = node
                 depth[child] = depth[node] + 1
                 order.append(child)
+
+    hang(root)
+    tol = _REDUCED_COST_RTOL * float(cost.max())
+    max_pivots = _PIVOTS_PER_BASIC_CELL * (m + n - 1)
+    pivots = 0
+    while True:
         u = np.array(pot[:m])
         v = np.array(pot[m:])
         reduced = cost - u[:, None] - v[None, :]
@@ -335,6 +353,10 @@ def _transport_simplex(a, b, cost):
         rows[leave], cols[leave], flows[leave] = p, q, step
         incident[p].append(leave)
         incident[m + q].append(leave)
+        top, parent = (m + q, p) if blocking else (p, m + q)
+        pot[top] = c[p][q] - pot[parent]
+        up_edge[top], up_node[top], depth[top] = leave, parent, depth[parent] + 1
+        hang(top)
     return np.array(rows), np.array(cols), np.array(flows), u, v
 
 
@@ -354,7 +376,7 @@ def transport_cost(a, b, cost) -> float:
     penalty = abs(mass_a - mass_b)
     if mass_a == 0.0 or mass_b == 0.0:
         return penalty
-    supply, demand, balanced = _balanced_problem(a, b, cost)
+    supply, demand, balanced = _balanced_problem(a, b, cost, mass_a, mass_b)
     rows, cols, flows, _, _ = _transport_simplex(supply, demand, balanced)
     return float(flows @ balanced[rows, cols]) + penalty
 

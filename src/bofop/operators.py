@@ -51,11 +51,20 @@ def _is_real(value) -> bool:
         isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)))
 
 
+def _double(value) -> float:
+    """float(value), or inf for an integer beyond the double range, which
+    every rule below refuses as not finite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def count(least, text=None):
     """An integer >= least, stored as an int: integral floats pass, and
     fractions, booleans and non-finite values are refused, never truncated."""
     return rule(text or f"an integer >= {least}",
-                lambda v: _is_real(v) and float(v).is_integer() and v >= least, int)
+                lambda v: _is_real(v) and _double(v).is_integer() and v >= least, int)
 
 
 def real(interval="(-inf, inf)"):
@@ -63,7 +72,8 @@ def real(interval="(-inf, inf)"):
     given: strings and booleans are refused, never converted."""
     low, high = map(float, interval[1:-1].split(","))
     closed = interval[0] == "[", interval[-1] == "]"
-    return rule(f"a real number in {interval}", lambda v: _is_real(v) and math.isfinite(v)
+    return rule(f"a real number in {interval}",
+                lambda v: _is_real(v) and math.isfinite(_double(v))
                 and (low <= v if closed[0] else low < v) and (v <= high if closed[1] else v < high))
 
 
@@ -80,7 +90,10 @@ def reals(interval="(-inf, inf)"):
                 bad = next(v for v in entries.flat if type(v) is kind)
                 break
         else:
-            out = entries.astype(float)
+            try:
+                out = entries.astype(float)
+            except OverflowError:  # only the entry check below reads out
+                out = np.array([_double(v) for v in entries.flat])
             inside = np.isfinite(out) & (out >= low) & (out <= high)
             if inside.all():
                 return out

@@ -476,23 +476,29 @@ def test_string_and_boolean_reals_exit_one(bad, tmp_path):
 
 def test_integers_too_large_for_a_double_exit_one(tmp_path):
     # float() of a JSON integer beyond the double range raises OverflowError;
-    # only real-valued fields, since a huge count would be looped over
+    # the rule refuses it by field name, as any other value out of its range
     runner = CliRunner()
     big = 10 ** 400
     graph = {"n": 2, "edges": [[0, 1, 1.0]], "aggregation": "sum", "features": [[0.1], [0.2]]}
     path = tmp_path / "g.json"
-    for broken in ({**graph, "edges": [[0, 1, big]]}, {**graph, "features": [[big], [0.2]]}):
+    for field, broken in (("edge weight", {**graph, "edges": [[0, 1, big]]}),
+                          ("features", {**graph, "features": [[big], [0.2]]})):
         path.write_text(json.dumps(broken))
         res = runner.invoke(main, ["wl", "run", str(path), "--rounds", "1"])
         assert_guarded_error(res)
-        assert "error: int too large to convert to float" in res.output
+        assert f"error: {field} must be" in res.output, (field, res.output)
     spec_path = tmp_path / "spec.json"
     out = tmp_path / "out.json"
-    spec_path.write_text(json.dumps({"kind": "erdos_renyi", "params": {"n": 4, "p": big}}))
-    res = runner.invoke(main, ["graph", "generate", "--spec", str(spec_path), "--out", str(out)])
-    assert_guarded_error(res)
-    assert "error: int too large to convert to float" in res.output
-    assert not out.exists()
+    er = {"kind": "erdos_renyi", "params": {"n": 4, "p": 0.5}}
+    for field, spec in (("erdos_renyi p", {**er, "params": {"n": 4, "p": big}}),
+                        ("ring n", {"kind": "ring", "params": {"n": big}}),
+                        ("seed", {**er, "seed": big})):
+        spec_path.write_text(json.dumps(spec))
+        res = runner.invoke(main, ["graph", "generate", "--spec", str(spec_path),
+                                   "--out", str(out)])
+        assert_guarded_error(res)
+        assert f"error: {field} must be" in res.output, (field, res.output)
+        assert not out.exists()
 
 
 def test_integral_floats_still_count(tmp_path):

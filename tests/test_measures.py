@@ -357,16 +357,30 @@ def test_ground_costs_match_cdist_bit_for_bit():
         ([1.0, 1.0], [1.0], [[1.0, 1.0]]),
         ([1.0], [1.0], [1.0]),
         ([], [], [[0.0]]),
+        ([1.0, np.nan], [1.0], [[1.0], [1.0]]),
+        ([1.0], [1.0, np.inf], [[1.0, 1.0]]),
+        ([1.0], [1.0], [[-np.inf]]),
+        ([1.0, 1.0], [1.0], [[1.0], [np.nan]]),
+        ([0.0], [1.0], [[np.nan]]),
     ],
     ids=[
         "nan weight", "inf weight", "negative weight", "negative tiny weight",
         "2-d weights", "nan cost", "inf cost", "negative cost",
         "transposed cost", "1-d cost", "cost for empty weights",
+        "later nan weight", "later inf weight", "minus inf cost", "nan in a later cost row",
+        "nan cost with a zero-mass side",
     ],
 )
 def test_transport_cost_rejects_malformed_input(a, b, cost):
     with pytest.raises(ValueError):
         transport_cost(a, b, cost)
+
+
+def test_transport_cost_accepts_negative_zeros():
+    # -0.0 is a zero weight or a zero cost, not a negative one
+    assert transport_cost([-0.0, 1.0], [1.0, -0.0], [[-0.0, 2.0], [1.0, -0.0]]) == 1.0
+    assert transport_cost([-0.0], [1.0], [[1.0]]) == 1.0
+    assert transport_cost([0.5, 0.5], [1.0], [[-0.0], [3.0]]) == 1.5
 
 
 def test_transport_cost_raises_past_the_pivot_bound(monkeypatch):

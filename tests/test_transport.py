@@ -1,21 +1,32 @@
 """The exact transport core: transport_cost against the vertex-enumeration
-oracle, and optimality certificates of the transportation simplex."""
+oracle, optimality certificates of the transportation simplex, and its bits
+against a frozen copy of the simplex that walked the whole tree each pivot."""
 
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bofop.measures as measures
+import bofop.wl as wl
+from bofop.experiments import config_from_dict, run_experiment
 from bofop.measures import (
+    _PIVOTS_PER_BASIC_CELL,
+    _REDUCED_COST_RTOL,
     GROUND_L1,
     GROUND_L2,
     DiscreteMeasure,
     _balanced_problem,
+    _check_transport_input,
+    _least_cost_basis,
     _transport_simplex,
     ot_unbalanced,
     transport_cost,
 )
+from bofop.operators import GeneratorSpec, generate
 from ot_oracle import enumerate_tree_costs, feasibility_floor, ot_oracle, transport_oracle
 
 TOL = 1e-9
@@ -254,3 +265,186 @@ def test_simplex_optimality_certificate(family, shape):
     assert transport_cost(a, b, cost) == pytest.approx(primal + penalty, rel=1e-12, abs=1e-15)
     dual = float(supply @ u + demand @ v)
     assert abs(primal - dual) <= 1e-12 * cmax * mass
+
+
+# ------------------------------------------------------ frozen reference
+# The balanced build and the simplex as they stood before the simplex kept
+# its tree between pivots: every pivot walks the whole tree from the root
+# again. The solver in bofop.measures must give the same bits.
+
+
+def frozen_balanced_problem(a, b, cost):
+    mass_a = float(a.sum())
+    mass_b = float(b.sum())
+    if mass_a > mass_b:
+        a, b, cost = b, a, cost.T
+        mass_a, mass_b = mass_b, mass_a
+    keep_a = a > 0.0
+    keep_b = b > 0.0
+    a = a[keep_a]
+    b = b[keep_b]
+    cost = cost[np.ix_(keep_a, keep_b)]
+    gap = mass_b - mass_a
+    if gap > 0.0:
+        a = np.append(a, gap)
+        cost = np.vstack([cost, np.zeros((1, b.shape[0]))])
+    return a, b, cost
+
+
+def frozen_transport_simplex(a, b, cost):
+    m, n = cost.shape
+    c = cost.tolist()
+    rows, cols, flows = _least_cost_basis(a, b, cost)
+    # tree nodes: rows are 0..m-1, columns m..m+n-1; the root is the last column
+    root = m + n - 1
+    incident = [[] for _ in range(m + n)]
+    for e in range(len(rows)):
+        incident[rows[e]].append(e)
+        incident[m + cols[e]].append(e)
+    tol = _REDUCED_COST_RTOL * float(cost.max())
+    max_pivots = _PIVOTS_PER_BASIC_CELL * (m + n - 1)
+    pivots = 0
+    while True:
+        # potentials, parent links and depths by a walk from the root
+        pot = [0.0] * (m + n)
+        up_edge = [-1] * (m + n)
+        up_node = [-1] * (m + n)
+        depth = [0] * (m + n)
+        order = [root]
+        for node in order:
+            for e in incident[node]:
+                if e == up_edge[node]:
+                    continue
+                child = m + cols[e] if node < m else rows[e]
+                pot[child] = c[rows[e]][cols[e]] - pot[node]
+                up_edge[child] = e
+                up_node[child] = node
+                depth[child] = depth[node] + 1
+                order.append(child)
+        u = np.array(pot[:m])
+        v = np.array(pot[m:])
+        reduced = cost - u[:, None] - v[None, :]
+        k = int(reduced.argmin())
+        if reduced.flat[k] >= -tol:
+            break
+        if pivots == max_pivots:
+            raise RuntimeError(
+                f"transport simplex did not converge within {max_pivots} pivots "
+                f"on a {m}x{n} problem"
+            )
+        pivots += 1
+        p, q = divmod(k, n)
+        # the cycle closes the tree path between row p and column q; edges at
+        # an even distance from either end give mass, odd ones receive it.
+        # path_p runs from p up to the apex, path_q from q up to the apex.
+        x, y = p, m + q
+        path_p, path_q = [], []
+        while depth[x] > depth[y]:
+            path_p.append(up_edge[x])
+            x = up_node[x]
+        while depth[y] > depth[x]:
+            path_q.append(up_edge[y])
+            y = up_node[y]
+        while x != y:
+            path_p.append(up_edge[x])
+            x = up_node[x]
+            path_q.append(up_edge[y])
+            y = up_node[y]
+        step = min(flows[e] for e in path_p[0::2] + path_q[0::2])
+        # walking apex -> p -> q -> apex, the last donor at zero is the
+        # blocking one nearest the apex on q's side, else nearest p
+        blocking = [e for e in path_q[0::2] if flows[e] == step]
+        if blocking:
+            leave = blocking[-1]
+        else:
+            leave = next(e for e in path_p[0::2] if flows[e] == step)
+        for e in path_p[0::2] + path_q[0::2]:
+            flows[e] -= step
+        for e in path_p[1::2] + path_q[1::2]:
+            flows[e] += step
+        incident[rows[leave]].remove(leave)
+        incident[m + cols[leave]].remove(leave)
+        rows[leave], cols[leave], flows[leave] = p, q, step
+        incident[p].append(leave)
+        incident[m + q].append(leave)
+    return np.array(rows), np.array(cols), np.array(flows), u, v
+
+
+def assert_matches_frozen(a, b, cost):
+    """The balanced problem and all five simplex outputs, bit for bit."""
+    problem = _balanced_problem(a, b, cost)
+    frozen = frozen_balanced_problem(a, b, cost)
+    for got, want in zip(problem, frozen):
+        assert np.array_equal(got, want)
+    for got, want in zip(_transport_simplex(*problem), frozen_transport_simplex(*frozen)):
+        assert np.array_equal(got, want)
+
+
+@st.composite
+def positive_mass_problems(draw):
+    """m x n problems, 1 <= m, n <= 12, with a nonzero mass on each side."""
+    family = draw(st.sampled_from(["random", "ties", "tiny", "near_balanced", "zeros"]))
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+
+    def side(k):
+        w = draw(st.lists(st.floats(0.1, 2), min_size=k, max_size=k))
+        if family == "tiny":
+            scale = draw(st.lists(st.floats(-8, 0), min_size=k, max_size=k))
+            w = [x * 10**s for x, s in zip(w, scale)]
+        if family == "zeros":
+            # zero rows and columns, keeping the first entry's mass
+            drop = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+            w = [0.0 if d and i else x for i, (x, d) in enumerate(zip(w, drop))]
+        return np.array(w)
+
+    a, b = side(m), side(n)
+    if family == "ties":
+        a, b = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+        entries = st.integers(0, 2).map(float)
+    else:
+        entries = st.floats(0, 5)
+    if family == "near_balanced":
+        # equal masses up to the last bits
+        b = b * (a.sum() / b.sum())
+    cost = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    return a, b, np.array(cost, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive_mass_problems())
+def test_simplex_matches_the_frozen_reference(problem):
+    a, b, cost = problem
+    assert_matches_frozen(a, b, cost)
+    assert_matches_frozen(b, a, cost.T)
+
+
+def record_transports(monkeypatch):
+    """Every (a, b, cost) handed to transport_cost from now on, checked as
+    transport_cost checks it; wl binds the name at import, so both go."""
+    seen = []
+    solve = measures.transport_cost
+
+    def spy(a, b, cost):
+        seen.append(_check_transport_input(a, b, cost))
+        return solve(a, b, cost)
+
+    monkeypatch.setattr(measures, "transport_cost", spy)
+    monkeypatch.setattr(wl, "transport_cost", spy)
+    return seen
+
+
+def test_real_runs_match_the_frozen_reference(monkeypatch):
+    """The transports of the continuity golden and of the README's depth-2
+    mover's distance on the ER24 pair (seeds 7 and 8) re-solved bit for bit."""
+    golden = pathlib.Path(__file__).parent / "golden" / "continuity.json"
+    seen = record_transports(monkeypatch)
+    run_experiment(config_from_dict(json.loads(golden.read_text())["config"]))
+    specs = [GeneratorSpec("erdos_renyi", {"n": 24, "p": 0.3}, "normalized_sum",
+                           {"mode": "uniform", "dim": 1}, seed) for seed in (7, 8)]
+    wl.didm_movers_distance(generate(specs[0]), generate(specs[1]), 2)
+    monkeypatch.undo()
+    solved = [(a, b, cost) for a, b, cost in seen if a.sum() > 0.0 and b.sum() > 0.0]
+    assert len(solved) > 100
+    for a, b, cost in solved:
+        assert_matches_frozen(a, b, cost)
