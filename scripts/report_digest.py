@@ -3,8 +3,9 @@
 The artifacts are the CSV, JSON and SVG reports of each tests/golden/*.json
 config run through run_experiment, and the stdout of the README CLI tour on
 the ER24 pair (erdos_renyi n=24, p=0.3, generator seeds 7 and 8): the two
-generated graph files, `distance didm --depth 2`, `distance action --k-max 3
---samples 16`, `wl run --rounds 2`, and `mpnn forward` by all three routes.
+generated graph files, `distance didm --depth 2` in both orientations,
+`distance didm --depth 3`, `distance action --k-max 3 --samples 16`,
+`wl run --rounds 2`, and `mpnn forward` by all three routes.
 
 The golden configs are read from this script's own checkout, while bofop is
 imported from the first PYTHONPATH entry, so the same configs can be run
@@ -87,6 +88,8 @@ def tour_digests(workdir):
         yield f"tour/g{seed}.json", sha(pathlib.Path(graphs[seed]).read_bytes())
     g7, g8 = graphs[7], graphs[8]
     yield "tour/distance-didm", sha(run("distance", "didm", g7, g8, "--depth", "2"))
+    yield "tour/distance-didm-swapped", sha(run("distance", "didm", g8, g7, "--depth", "2"))
+    yield "tour/distance-didm-depth3", sha(run("distance", "didm", g7, g8, "--depth", "3"))
     yield "tour/distance-action", sha(
         run("distance", "action", g7, g8, "--k-max", "3", "--samples", "16")
     )

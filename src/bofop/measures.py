@@ -9,6 +9,7 @@ builds the cost matrix from atom coordinates and calls it.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +207,7 @@ def _balanced_problem(a, b, cost, mass_a=None, mass_b=None):
     return a, b, cost
 
 
-def _least_cost_basis(a, b, cost):
+def _least_cost_basis(a, b, cost, pending=None, reveal=None):
     """Strongly feasible initial basis of m + n - 1 cells by the least-cost rule.
 
     Cells are visited by increasing cost, ties in row-major order. Each cell
@@ -218,6 +219,12 @@ def _least_cost_basis(a, b, cost):
     (mass, epsilon count) compared lexicographically. A basis feasible for
     that problem is strongly feasible for the root at the last column: a
     tree cell with zero flow always has its row below its column.
+
+    Where pending marks lower bounds, reveal(k) gives cell k's exact cost,
+    and the visits keep the exact order: a heap keyed (exact cost, flat
+    index) yields its top once that is below the next bound's key, which no
+    unrevealed cell's exact key can undercut. Cells are revealed only where
+    the bound walk finds their row and column open, as none ever reopens.
     """
     m, n = cost.shape
     supply = [(x, 1) for x in a.tolist()]
@@ -227,7 +234,24 @@ def _least_cost_basis(a, b, cost):
     col_open = [True] * n
     rows_left, cols_left = m, n
     rows, cols, flows = [], [], []
-    for k in np.argsort(cost, axis=None, kind="stable").tolist():
+
+    def visits():
+        order = np.argsort(cost, axis=None, kind="stable").tolist()
+        if pending is None:
+            yield from order
+            return
+        bound = cost.ravel().tolist()
+        lazy = pending.ravel().tolist()
+        heap = []
+        for k in order:
+            while heap and heap[0] < (bound[k], k):
+                yield heapq.heappop(heap)[1]
+            if row_open[k // n] and col_open[k % n]:
+                heapq.heappush(heap, (reveal(k) if lazy[k] else bound[k], k))
+        while heap:
+            yield heapq.heappop(heap)[1]
+
+    for k in visits():
         i, j = divmod(k, n)
         if not (row_open[i] and col_open[j]):
             continue
@@ -249,7 +273,7 @@ def _least_cost_basis(a, b, cost):
     return rows, cols, flows
 
 
-def _transport_simplex(a, b, cost):
+def _transport_simplex(a, b, cost, pending=None, exact=None, upper=np.inf):
     """Exact transportation simplex for a balanced problem with positive weights.
 
     Returns the basic cells (rows, cols), their flows, and the row and column
@@ -273,10 +297,33 @@ def _transport_simplex(a, b, cost):
     p otherwise, and re-hangs it from the entering cell (p, q). Only that
     subtree is walked again: every other node keeps its root path, and so
     the bits of its potential, exactly as a walk of the whole tree gives.
+
+    Where pending is set, cost holds a lower bound, and exact(k) reveals cell
+    k's cost into it (ValueError outside [bound, upper]); the outputs keep the
+    bits of the exact matrix, the case with nothing pending. Pricing takes the
+    argmin over the bounds, and while it is pending reveals it, sets its entry
+    to (exact - u[i]) - v[j] as the broadcast does, and takes it again. As
+    rounding is monotone, the last argmin is the exact least value, and no
+    cell before it ties it. The tolerance's cost.max() lies between the
+    largest known cost and upper: stop when the least value clears the
+    first, pivot when it is below the second, else reveal all and decide.
     """
     m, n = cost.shape
     c = cost.tolist()
-    rows, cols, flows = _least_cost_basis(a, b, cost)
+    known_max = float(cost.max() if pending is None else cost[~pending].max(initial=0.0))
+
+    def reveal(k):
+        nonlocal known_max
+        i, j = divmod(k, n)
+        value = float(exact(k))
+        if not (c[i][j] <= value <= upper and value < np.inf):
+            raise ValueError(f"cost {value!r} of cell {(i, j)} outside [{c[i][j]!r}, {upper!r}]")
+        cost[i, j] = c[i][j] = value
+        pending[i, j] = False
+        known_max = max(known_max, value)
+        return value
+
+    rows, cols, flows = _least_cost_basis(a, b, cost, pending, reveal)
     # tree nodes: rows are 0..m-1, columns m..m+n-1; the root is the last column
     root = m + n - 1
     incident = [[] for _ in range(m + n)]
@@ -303,7 +350,6 @@ def _transport_simplex(a, b, cost):
                 order.append(child)
 
     hang(root)
-    tol = _REDUCED_COST_RTOL * float(cost.max())
     max_pivots = _PIVOTS_PER_BASIC_CELL * (m + n - 1)
     pivots = 0
     while True:
@@ -311,8 +357,17 @@ def _transport_simplex(a, b, cost):
         v = np.array(pot[m:])
         reduced = cost - u[:, None] - v[None, :]
         k = int(reduced.argmin())
-        if reduced.flat[k] >= -tol:
+        while pending is not None and pending.flat[k]:
+            i, j = divmod(k, n)
+            reduced[i, j] = (reveal(k) - u[i]) - v[j]
+            k = int(reduced.argmin())
+        if reduced.flat[k] >= -_REDUCED_COST_RTOL * known_max:
             break
+        if pending is not None and reduced.flat[k] >= -_REDUCED_COST_RTOL * upper:
+            for k in np.flatnonzero(pending).tolist():
+                reveal(k)
+            pending = None
+            continue
         if pivots == max_pivots:
             raise RuntimeError(
                 f"transport simplex did not converge within {max_pivots} pivots "
@@ -360,7 +415,7 @@ def _transport_simplex(a, b, cost):
     return np.array(rows), np.array(cols), np.array(flows), u, v
 
 
-def transport_cost(a, b, cost) -> float:
+def transport_cost(a, b, cost, pending=None, exact=None, upper=np.inf) -> float:
     """Exact unbalanced transport value between weight vectors a and b.
 
     cost[i, j] is the ground cost from atom i of a to atom j of b. The
@@ -369,6 +424,8 @@ def transport_cost(a, b, cost) -> float:
     value is symmetric under swapping a and b with cost transposed. Solved
     by an exact transportation simplex: ValueError on malformed input,
     RuntimeError if the solve does not converge, never a partial value.
+    Where the boolean matrix pending is set, cost[i, j] is a lower bound and
+    exact(i, j) gives the cost, at most upper, when the simplex needs it.
     """
     a, b, cost = _check_transport_input(a, b, cost)
     mass_a = float(a.sum())
@@ -377,7 +434,18 @@ def transport_cost(a, b, cost) -> float:
     if mass_a == 0.0 or mass_b == 0.0:
         return penalty
     supply, demand, balanced = _balanced_problem(a, b, cost, mass_a, mass_b)
-    rows, cols, flows, _, _ = _transport_simplex(supply, demand, balanced)
+    if pending is None:
+        rows, cols, flows, _, _ = _transport_simplex(supply, demand, balanced)
+    else:
+        # each balanced cell's flat index in cost, plus one where it is pending
+        n = cost.shape[1]
+        origin = np.where(pending, np.arange(1.0, cost.size + 1).reshape(cost.shape), 0.0)
+        origin = _balanced_problem(a, b, origin, mass_a, mass_b)[2]
+        balanced = balanced.copy()
+        rows, cols, flows, _, _ = _transport_simplex(
+            supply, demand, balanced, origin > 0.0,
+            lambda k: exact(*divmod(int(origin.flat[k]) - 1, n)), upper,
+        )
     return float(flows @ balanced[rows, cols]) + penalty
 
 

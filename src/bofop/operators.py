@@ -211,7 +211,10 @@ def from_graph(n, edges, features, aggregation, vertex_weights=None) -> FiniteBo
         adj[j, i] = w
     if vertex_weights is None:
         vertex_weights = np.full(n, 1.0 / n)
-    return FiniteBofopSignal(n, vertex_weights, aggregate(adj, aggregation), features)
+    # drop the adjacency before the signal copies the kernel: two n^2 arrays at most
+    kernel = aggregate(adj, aggregation)
+    del adj
+    return FiniteBofopSignal(n, vertex_weights, kernel, features)
 
 
 def aggregate(adj, aggregation) -> np.ndarray:

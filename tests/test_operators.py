@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from bofop.operators import (
     SYMMETRIC_AVERAGE,
     FiniteBofopSignal,
     GeneratorSpec,
+    aggregate,
     apply_operator,
     bofop_from_graph_dict,
     from_graph,
@@ -77,6 +80,26 @@ def test_from_graph_errors():
     # a consistent duplicate is tolerated
     b = from_graph(2, [[0, 1, 1.0], [1, 0, 1.0]], [[1.0], [1.0]], SUM)
     assert b.kernel[0, 1] == 1.0
+
+
+@pytest.mark.parametrize("aggregation", [SUM, NORMALIZED_SUM])
+def test_from_graph_holds_two_dense_arrays_at_most(aggregation):
+    """The adjacency is dropped before the signal copies the kernel: on a
+    1,000-vertex ring, the peak stays near two n x n float arrays, where
+    keeping it alive costs three for normalized_sum."""
+    n = 1000
+    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    tracemalloc.start()
+    try:
+        signal = from_graph(n, edges, np.zeros((n, 1)), aggregation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * n * n
+    adjacency = np.zeros((n, n))
+    for i, j, w in edges:
+        adjacency[i, j] = adjacency[j, i] = w
+    assert np.array_equal(signal.kernel, aggregate(adjacency, aggregation))
 
 
 # ---------------------------------------------------------------- operator

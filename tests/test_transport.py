@@ -1,6 +1,7 @@
 """The exact transport core: transport_cost against the vertex-enumeration
-oracle, optimality certificates of the transportation simplex, and its bits
-against a frozen copy of the simplex that walked the whole tree each pivot."""
+oracle, optimality certificates of the transportation simplex, its bits
+against a frozen copy of the simplex that walked the whole tree each pivot,
+and lazy costs against the dense solve and a frozen dense recursive memo."""
 
 import itertools
 import json
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bofop.experiments as experiments
 import bofop.measures as measures
 import bofop.wl as wl
 from bofop.experiments import config_from_dict, run_experiment
@@ -419,32 +421,197 @@ def test_simplex_matches_the_frozen_reference(problem):
     assert_matches_frozen(b, a, cost.T)
 
 
+def assert_lazy_matches(a, b, cost, bounds, pending, upper):
+    """The lazy solve from bounds, revealing cost where pending, against the
+    dense solve and the frozen reference: all five outputs and the value."""
+    supply, demand, balanced = _balanced_problem(a, b, cost)
+    lazy_bounds = _balanced_problem(a, b, bounds)[2].copy()
+    lazy_pending = _balanced_problem(a, b, pending.astype(float))[2] > 0.0
+    lazy = _transport_simplex(supply, demand, lazy_bounds, lazy_pending,
+                              lambda k: balanced.flat[k], upper)
+    dense = _transport_simplex(supply, demand, balanced)
+    frozen = frozen_transport_simplex(*frozen_balanced_problem(a, b, cost))
+    for got, want, reference in zip(lazy, dense, frozen):
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, reference)
+    value = transport_cost(a, b, bounds, pending, lambda i, j: cost[i, j], upper)
+    assert value == transport_cost(a, b, cost)
+    assert value == frozen_value(a, b, cost)
+
+
+def frozen_value(a, b, cost):
+    supply, demand, balanced = frozen_balanced_problem(a, b, cost)
+    rows, cols, flows, _, _ = frozen_transport_simplex(supply, demand, balanced)
+    return float(flows @ balanced[rows, cols]) + abs(float(a.sum()) - float(b.sum()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive_mass_problems(), st.data())
+def test_lazy_costs_match_the_dense_solve(problem, data):
+    """Bounds of cost * U[0, 1] on a drawn mask, some equal to the cost, and
+    an upper bound from tight to infinite."""
+    a, b, cost = problem
+    cells = cost.size
+    pending = np.array(data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+    scale = data.draw(st.lists(st.one_of(st.just(1.0), st.floats(0, 1)),
+                               min_size=cells, max_size=cells))
+    pending = pending.reshape(cost.shape)
+    bounds = np.where(pending, cost * np.array(scale).reshape(cost.shape), cost)
+    factor = data.draw(st.sampled_from([1.0, 1.5, 1e6, np.inf]))
+    upper = np.inf if factor == np.inf else float(cost.max()) * factor
+    assert_lazy_matches(a, b, cost, bounds, pending, upper)
+    assert_lazy_matches(b, a, cost.T, bounds.T, pending.T, upper)
+
+
+def test_tolerance_fallback_reveals_every_cell():
+    """A near-degenerate 3 x 3 problem: at the least-cost start, cell (1, 0)
+    prices at about -1e-12, below -1e-13 times the largest cost known (2)
+    but not below -1e-13 times upper (50). Only the exact maximum decides,
+    so all three pending cells are revealed, although none is basic or least
+    on its bound, and the solve stops as the dense one does."""
+    big = 50.0
+    a = b = np.full(3, 1.0 / 3.0)
+    cost = np.array([[0.0, 1.0, big], [1.0, 2.0 + 1e-12, 1.0], [big, big, 0.0]])
+    pending = cost == big
+    asked = []
+
+    def exact(k):
+        asked.append(k)
+        return cost.flat[k]
+
+    rows, cols, flows, u, v = _transport_simplex(
+        a, b, np.where(pending, 10.0, cost), pending.copy(), exact, big
+    )
+    assert sorted(asked) == [2, 6, 7]
+    assert not pending[rows, cols].any()
+    least = float((cost - u[:, None] - v[None, :]).min())
+    assert -_REDUCED_COST_RTOL * big <= least < -_REDUCED_COST_RTOL * 2.0
+    assert_lazy_matches(a, b, cost, np.where(pending, 10.0, cost), pending, big)
+
+
+def test_revealed_costs_outside_their_bounds_raise():
+    a = b = np.array([0.5, 0.5])
+    bounds = np.array([[0.0, 1.0], [1.0, 1.0]])
+    pending = np.array([[False, False], [False, True]])
+    for value in (0.5, np.nan, np.inf, 3.0):
+        with pytest.raises(ValueError, match="outside"):
+            transport_cost(a, b, bounds, pending, lambda i, j: value, 2.0)
+
+
 def record_transports(monkeypatch):
-    """Every (a, b, cost) handed to transport_cost from now on, checked as
-    transport_cost checks it; wl binds the name at import, so both go."""
+    """Every transport_cost call from now on: (a, b, cost) checked as
+    transport_cost checks them, the pending mask, exact, upper, and the value
+    returned. wl binds the name at import, so both go."""
     seen = []
     solve = measures.transport_cost
 
-    def spy(a, b, cost):
-        seen.append(_check_transport_input(a, b, cost))
-        return solve(a, b, cost)
+    def spy(a, b, cost, pending=None, exact=None, upper=np.inf):
+        value = solve(a, b, cost, pending, exact, upper)
+        mask = None if pending is None else np.array(pending, dtype=bool)
+        seen.append((*_check_transport_input(a, b, cost), mask, exact, upper, value))
+        return value
 
     monkeypatch.setattr(measures, "transport_cost", spy)
     monkeypatch.setattr(wl, "transport_cost", spy)
     return seen
 
 
+def er24_pair():
+    """The README's ER24 pair: generator seeds 7 and 8."""
+    specs = [GeneratorSpec("erdos_renyi", {"n": 24, "p": 0.3}, "normalized_sum",
+                           {"mode": "uniform", "dim": 1}, seed) for seed in (7, 8)]
+    return generate(specs[0]), generate(specs[1])
+
+
 def test_real_runs_match_the_frozen_reference(monkeypatch):
     """The transports of the continuity golden and of the README's depth-2
-    mover's distance on the ER24 pair (seeds 7 and 8) re-solved bit for bit."""
+    mover's distance on the ER24 pair (seeds 7 and 8) re-solved bit for bit.
+    A lazy call is re-solved on its exact matrix, filled in after the run,
+    with every bound at most its cost and every cost at most upper; the
+    frozen dense solve gives the value the lazy one returned."""
     golden = pathlib.Path(__file__).parent / "golden" / "continuity.json"
     seen = record_transports(monkeypatch)
     run_experiment(config_from_dict(json.loads(golden.read_text())["config"]))
-    specs = [GeneratorSpec("erdos_renyi", {"n": 24, "p": 0.3}, "normalized_sum",
-                           {"mode": "uniform", "dim": 1}, seed) for seed in (7, 8)]
-    wl.didm_movers_distance(generate(specs[0]), generate(specs[1]), 2)
+    wl.didm_movers_distance(*er24_pair(), 2)
     monkeypatch.undo()
-    solved = [(a, b, cost) for a, b, cost in seen if a.sum() > 0.0 and b.sum() > 0.0]
+    solved = [call for call in seen if call[0].sum() > 0.0 and call[1].sum() > 0.0]
     assert len(solved) > 100
-    for a, b, cost in solved:
+    assert sum(call[3] is not None for call in solved) > 100
+    for a, b, cost, pending, exact, upper, value in solved:
+        if pending is not None:
+            filled = cost.copy()
+            for i, j in zip(*np.nonzero(pending)):
+                filled[i, j] = exact(i, j)
+            assert np.all(cost <= filled) and np.all(filled <= upper)
+            cost = filled
         assert_matches_frozen(a, b, cost)
+        assert value == frozen_value(a, b, cost)
+
+
+# ------------------------------------------------------ frozen dense memo
+# The recursive distance as it stood before its class transports took lazy
+# costs: every cost entry is computed, row by row, before the solve.
+
+
+def frozen_class_transport(atoms_a, weights_a, atoms_b, weights_b, memo):
+    on_b = dict(zip(atoms_b, weights_b))
+    if len(on_b) == len(atoms_a) and all(
+        t in on_b and abs(w - on_b[t]) <= wl.STRUCT_TOL for t, w in zip(atoms_a, weights_a)
+    ):
+        return 0.0
+    cost = np.array(
+        [[frozen_distance_memo(x, y, memo) for y in atoms_b] for x in atoms_a]
+    ).reshape(len(atoms_a), len(atoms_b))
+    return transport_cost(weights_a, weights_b, cost)
+
+
+def frozen_distance_memo(a, b, memo):
+    if a is b:
+        return 0.0
+    key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if a.level == 0:
+        val = float(np.sqrt(((a.feature - b.feature) ** 2).sum()))
+    else:
+        val = frozen_distance_memo(a.parent, b.parent, memo) + frozen_class_transport(
+            a.atoms, a.weights, b.atoms, b.weights, memo
+        )
+    memo[key] = val
+    return val
+
+
+def assert_memo_matches_dense(b1, b2, depth):
+    """didm_movers_distance's transport, lazy and frozen dense: the same
+    value, and every lazy memo entry bit for bit the dense one."""
+    uni = wl.IdmUniverse()
+    h1 = wl.compute_idms(b1, depth, uni).class_histogram()
+    h2 = wl.compute_idms(b2, depth, uni).class_histogram()
+    sides = (list(h1), list(h1.values()), list(h2), list(h2.values()))
+    lazy, dense = {}, {}
+    value = wl._class_transport(*sides, lazy, wl._distance_uppers([*h1, *h2]))
+    assert value == frozen_class_transport(*sides, dense)
+    assert value == wl.didm_movers_distance(b1, b2, depth)
+    assert all(dense[key] == entry for key, entry in lazy.items())
+    return len(lazy)
+
+
+def test_lazy_memo_matches_the_dense_memo(monkeypatch):
+    """Every mover's distance of the continuity golden, and the ER24 pair at
+    depths 2 and 3 in both orientations."""
+    golden = pathlib.Path(__file__).parent / "golden" / "continuity.json"
+    calls = []
+    distance = wl.didm_movers_distance
+
+    def spy(b1, b2, depth):
+        calls.append((b1, b2, depth))
+        return distance(b1, b2, depth)
+
+    monkeypatch.setattr(experiments, "didm_movers_distance", spy)
+    run_experiment(config_from_dict(json.loads(golden.read_text())["config"]))
+    monkeypatch.undo()
+    g7, g8 = er24_pair()
+    calls += [(g7, g8, 2), (g8, g7, 2), (g7, g8, 3), (g8, g7, 3)]
+    assert len(calls) == 10
+    assert sum(assert_memo_matches_dense(*call) for call in calls) > 1000

@@ -3,10 +3,13 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import circulant
 
+import bofop.wl as wl
 from bofop.measures import DiscreteMeasure, measures_equal
 from bofop.operators import (
+    NORMALIZED_SUM,
     SUM,
     FiniteBofopSignal,
     disjoint_union,
@@ -158,6 +161,73 @@ def test_equal_class_histograms_transport_exactly_zero():
     b = from_graph(3, edges, features, SUM, vertex_weights=[0.2, 0.3, 0.5])
     shaken = from_graph(3, edges, features, SUM, vertex_weights=[0.2 + 1e-14, 0.3 - 1e-14, 0.5])
     assert didm_movers_distance(b, shaken, 2) == 0.0
+
+
+def test_lazy_bound_omits_the_gap_where_the_shortcut_applies(monkeypatch):
+    # x and y hold the same atom with weights 5e-13 apart: their transport
+    # is exactly 0.0, so a bound that keeps the mass gap would exceed d_1
+    uni = IdmUniverse()
+    atom = uni.cons_level0([2.0])
+    p1, p2 = uni.cons_level0([1.0]), uni.cons_level0([-0.5])
+    x = uni.cons(p1, (atom,), [0.3])
+    y = uni.cons(p2, (atom,), [0.3 + 5e-13])
+    assert x.weights.sum() != y.weights.sum()
+    # level-2 classes over x and y with one parent, so d_1(x, y) is not
+    # memoized when their transport sets its bound
+    parent = uni.cons(p1, (atom,), [1.0])
+    top_x, top_y = uni.cons(parent, (x,), [1.0]), uni.cons(parent, (y,), [1.0])
+    seen = []
+    solve = wl.transport_cost
+
+    def spy(a, b, cost, *lazy):
+        seen.append((np.array(cost), lazy[0].copy() if lazy else None))
+        return solve(a, b, cost, *lazy)
+
+    monkeypatch.setattr(wl, "transport_cost", spy)
+    assert idm_distance(top_x, top_y, 2) == 1.5
+    bounds, pending = seen[0]
+    assert pending.tolist() == [[True]]
+    assert bounds.tolist() == [[1.5]] == [[idm_distance(x, y, 1)]]
+
+
+@st.composite
+def weighted_signals(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [[i, j, draw(st.sampled_from([0.25, 0.5, 1.0, 1.7]))]
+             for i, j in pairs if draw(st.booleans())]
+    dim = 2 if draw(st.booleans()) else 1
+    features = draw(st.lists(st.lists(st.floats(-2, 2), min_size=dim, max_size=dim),
+                             min_size=n, max_size=n))
+    return n, edges, features
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_signals(), weighted_signals(), st.integers(1, 3),
+       st.sampled_from([SUM, NORMALIZED_SUM]))
+def test_distance_uppers_bound_every_distance(first, second, depth, aggregation):
+    (n1, e1, f1), (n2, e2, f2) = first, second
+    if len(f1[0]) != len(f2[0]):
+        f2 = [row[:1] * len(f1[0]) for row in f2]
+    b1 = from_graph(n1, e1, f1, aggregation)
+    b2 = from_graph(n2, e2, f2, aggregation)
+    uni = IdmUniverse()
+    h1 = compute_idms(b1, depth, uni).class_histogram()
+    h2 = compute_idms(b2, depth, uni).class_histogram()
+    uppers = wl._distance_uppers([*h1, *h2])
+    memo = {}
+    value = wl._class_transport(list(h1), list(h1.values()), list(h2), list(h2.values()),
+                                memo, uppers)
+    assert len(uppers) == depth + 1
+    assert value <= uppers[depth]
+    trees = {}
+    stack = [*h1, *h2]
+    while stack:
+        tree = stack.pop()
+        trees[id(tree)] = tree
+        stack.extend(tree.atoms + ((tree.parent,) if tree.parent is not None else ()))
+    for (key, _), distance in memo.items():
+        assert distance <= uppers[trees[key].level]
 
 
 def test_idm_distance_level_mismatch():
