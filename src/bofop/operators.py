@@ -232,7 +232,9 @@ def aggregate(adj, aggregation) -> np.ndarray:
         inv_sqrt = np.zeros_like(deg)
         nz = deg > 0
         inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-        return inv_sqrt[..., :, None] * adj * inv_sqrt[..., None, :]
+        out = inv_sqrt[..., :, None] * adj
+        out *= inv_sqrt[..., None, :]
+        return out
     raise ValueError(f"unknown aggregation {aggregation!r}")
 
 
@@ -390,7 +392,9 @@ def _check_kernel_ast(expr):
     """Reject everything but arithmetic over u, v, and the named helpers.
 
     Specs travel in config files, so the formula is data, not code: no
-    attribute access, no subscripts, no calls outside the whitelist."""
+    attribute access, no subscripts, no calls outside the whitelist. Returns
+    the checked tree compiled, every constant a float, so that a power or a
+    shift of integers cannot run unbounded: it overflows or is refused."""
     tree = ast.parse(expr, mode="eval")
     allowed = set(_EXPR_NAMES) | {"u", "v"}
     for node in ast.walk(tree):
@@ -404,9 +408,11 @@ def _check_kernel_ast(expr):
         elif isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ValueError("only numeric constants are allowed")
+            node.value = float(node.value)
         elif not isinstance(node, (ast.Expression, ast.BinOp, ast.UnaryOp,
                                    ast.operator, ast.unaryop, ast.Load)):
             raise ValueError(f"{type(node).__name__} is not allowed")
+    return compile(tree, "<kernel_expr>", "eval")
 
 
 def kernel_expr_probabilities(expr, latents) -> np.ndarray:
@@ -417,8 +423,7 @@ def kernel_expr_probabilities(expr, latents) -> np.ndarray:
     env["u"] = latents[..., :, None]
     env["v"] = latents[..., None, :]
     try:
-        _check_kernel_ast(expr)
-        out = eval(expr, env)  # the walk above pinned the grammar
+        out = eval(_check_kernel_ast(expr), env)  # the walk pinned the grammar
     except Exception as exc:
         raise ValueError(f"invalid kernel expression {expr!r}: {exc}") from exc
     shape = latents.shape + latents.shape[-1:]

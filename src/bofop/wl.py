@@ -33,8 +33,13 @@ class IdmTree:
 
     parent is the truncation to the previous level; atoms (hash-consed trees
     of the previous level, references rather than points) and weights are the
-    top-level measure. Structural equality is object identity thanks to
-    hash-consing, so these are compared and memoized by id.
+    top-level measure, of total mass on the atom set support. Structural
+    equality is object identity thanks to hash-consing, so these are compared
+    and memoized by id. Two classes of a level lie at most x.reach + y.reach
+    apart; reach is ||feature||_2 at level 0 and parent.reach + mass * (largest
+    atom reach + 1) above, padded by 1e-9, as a class transport ships the
+    lighter mass over cells of at most the two largest atom reaches and adds
+    the mass gap.
     """
 
     level: int
@@ -43,6 +48,9 @@ class IdmTree:
     atoms: tuple = ()
     weights: np.ndarray | None = None
     index: int = 0
+    mass: float = 0.0
+    support: frozenset = frozenset()
+    reach: float = 0.0
 
 
 class IdmUniverse:
@@ -77,23 +85,21 @@ class IdmUniverse:
         return self._intern(
             feature.shape,
             feature,
-            lambda index: IdmTree(level=0, feature=feature.copy(), index=index),
+            lambda index: IdmTree(level=0, feature=feature.copy(), index=index,
+                                  reach=float(np.sqrt((feature**2).sum())) * (1 + 1e-9)),
         )
 
     def cons(self, parent: IdmTree, atoms: tuple, weights) -> IdmTree:
         weights = np.asarray(weights, dtype=float)
-        return self._intern(
-            (id(parent), tuple(id(a) for a in atoms)),
-            weights,
-            lambda index: IdmTree(
-                level=parent.level + 1,
-                feature=parent.feature,
-                parent=parent,
-                atoms=atoms,
-                weights=weights,
-                index=index,
-            ),
-        )
+
+        def make(index):
+            mass = float(weights.sum())
+            reach = parent.reach + mass * (max((a.reach for a in atoms), default=0.0) + 1.0)
+            return IdmTree(level=parent.level + 1, feature=parent.feature, parent=parent,
+                           atoms=atoms, weights=weights, index=index, mass=mass,
+                           support=frozenset(atoms), reach=reach * (1 + 1e-9))
+
+        return self._intern((id(parent), tuple(id(a) for a in atoms)), weights, make)
 
 
 @dataclass(eq=False)
@@ -131,7 +137,7 @@ def compute_idms(signal: FiniteBofopSignal, depth: int, universe: IdmUniverse | 
     return Didm(depth, tuple(current), signal.vertex_weights)
 
 
-def _class_transport(atoms_a, weights_a, atoms_b, weights_b, memo, uppers) -> float:
+def _class_transport(atoms_a, weights_a, atoms_b, weights_b, memo) -> float:
     """Unbalanced transport between two measures on hash-consed classes.
 
     Exactly 0.0 when both sides put the same weight, within STRUCT_TOL, on the
@@ -139,42 +145,40 @@ def _class_transport(atoms_a, weights_a, atoms_b, weights_b, memo, uppers) -> fl
     distances between the classes, taken in the given order. Atoms on one
     side are distinct classes.
 
-    Above level 0, a cell not memoized (nor x is y) is the lower bound
-    d(x.parent, y.parent) + |m_x - m_y|, masses summed as transport_cost does,
-    without the gap if x and y hold the same classes (the shortcut may give
-    0.0): a transport is fl(dot + gap) >= gap, and rounding is monotone.
+    Level-0 costs go in exact and are solved dense. Above level 0, a cell not
+    memoized (nor x is y) is the lower bound d(x.parent, y.parent) + |m_x -
+    m_y|, with the masses summed as transport_cost does, without the gap if x
+    and y hold the same classes (the shortcut may give 0.0): a transport is
+    fl(dot + gap) >= gap, and rounding is monotone. Every cell is at most the
+    largest reach on side a plus the largest on side b.
     """
     on_b = dict(zip(atoms_b, weights_b))
     if len(on_b) == len(atoms_a) and all(
         t in on_b and abs(w - on_b[t]) <= STRUCT_TOL for t, w in zip(atoms_a, weights_a)
     ):
         return 0.0
-    if not (atoms_a and atoms_b) or atoms_a[0].level == 0:
-        cost = np.array(
-            [[_distance_memo(x, y, memo, uppers) for y in atoms_b] for x in atoms_a]
-        ).reshape(len(atoms_a), len(atoms_b))
-        return transport_cost(weights_a, weights_b, cost)
-    bounds = np.empty((len(atoms_a), len(atoms_b)))
-    pending = np.zeros(bounds.shape, dtype=bool)
-    masses_b = [float(y.weights.sum()) for y in atoms_b]
+    cost = np.empty((len(atoms_a), len(atoms_b)))
+    pending = np.zeros(cost.shape, dtype=bool)
     for i, x in enumerate(atoms_a):
-        mass_x = float(x.weights.sum())
         for j, y in enumerate(atoms_b):
             value = 0.0 if x is y else memo.get((min(id(x), id(y)), max(id(x), id(y))))
-            if value is None:
-                value = _distance_memo(x.parent, y.parent, memo, uppers)
-                if set(x.atoms) != set(y.atoms):
-                    value += abs(mass_x - masses_b[j])
+            if value is None and x.level == 0:
+                value = _distance_memo(x, y, memo)
+            elif value is None:
+                value = _distance_memo(x.parent, y.parent, memo)
+                if x.support != y.support:
+                    value += abs(x.mass - y.mass)
                 pending[i, j] = True
-            bounds[i, j] = value
+            cost[i, j] = value
+    upper = max((x.reach for x in atoms_a), default=0.0)
+    upper += max((y.reach for y in atoms_b), default=0.0)
     return transport_cost(
-        weights_a, weights_b, bounds, pending,
-        lambda i, j: _distance_memo(atoms_a[i], atoms_b[j], memo, uppers),
-        uppers[atoms_a[0].level],
+        weights_a, weights_b, cost, pending if atoms_a and atoms_a[0].level else None,
+        lambda i, j: _distance_memo(atoms_a[i], atoms_b[j], memo), upper,
     )
 
 
-def _distance_memo(a: IdmTree, b: IdmTree, memo, uppers) -> float:
+def _distance_memo(a: IdmTree, b: IdmTree, memo) -> float:
     if a is b:
         return 0.0
     key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
@@ -184,35 +188,11 @@ def _distance_memo(a: IdmTree, b: IdmTree, memo, uppers) -> float:
     if a.level == 0:
         val = float(np.sqrt(((a.feature - b.feature) ** 2).sum()))
     else:
-        val = _distance_memo(a.parent, b.parent, memo, uppers) + _class_transport(
-            a.atoms, a.weights, b.atoms, b.weights, memo, uppers
+        val = _distance_memo(a.parent, b.parent, memo) + _class_transport(
+            a.atoms, a.weights, b.atoms, b.weights, memo
         )
     memo[key] = val
     return val
-
-
-def _distance_uppers(roots) -> list:
-    """Upper bounds D_l on the level-l distances between classes reachable
-    from roots: D_0 is the l2 norm of the feature ranges, and a transport
-    ships at most R_l, the largest level-l mass, at most max(D_{l-1}, 1) per
-    unit with the gap, so D_l = D_{l-1} + R_l max(D_{l-1}, 1), padded 1e-9.
-    """
-    seen = {}
-    stack = list(roots)
-    while stack:
-        tree = stack.pop()
-        if tree is not None and id(tree) not in seen:
-            seen[id(tree)] = tree
-            stack.extend((*tree.atoms, tree.parent))
-    features = np.array([tree.feature for tree in seen.values()])
-    masses = [0.0] * (1 + max(tree.level for tree in seen.values()))
-    for tree in seen.values():
-        if tree.level:
-            masses[tree.level] = max(masses[tree.level], float(tree.weights.sum()))
-    uppers = [float(np.linalg.norm(features.max(axis=0) - features.min(axis=0))) * (1 + 1e-9)]
-    for mass in masses[1:]:
-        uppers.append((uppers[-1] + mass * max(uppers[-1], 1.0)) * (1 + 1e-9))
-    return uppers
 
 
 def idm_distance(a: IdmTree, b: IdmTree, level: int, memo: dict | None = None) -> float:
@@ -228,7 +208,7 @@ def idm_distance(a: IdmTree, b: IdmTree, level: int, memo: dict | None = None) -
         raise ValueError(f"level mismatch: {a.level} and {b.level} vs requested {level}")
     if a.feature.shape != b.feature.shape:
         raise ValueError("feature dimension mismatch")
-    return _distance_memo(a, b, {} if memo is None else memo, _distance_uppers((a, b)))
+    return _distance_memo(a, b, {} if memo is None else memo)
 
 
 def didm_movers_distance(b1: FiniteBofopSignal, b2: FiniteBofopSignal, depth: int) -> float:
@@ -238,8 +218,7 @@ def didm_movers_distance(b1: FiniteBofopSignal, b2: FiniteBofopSignal, depth: in
     uni = IdmUniverse()
     h1 = compute_idms(b1, depth, uni).class_histogram()
     h2 = compute_idms(b2, depth, uni).class_histogram()
-    uppers = _distance_uppers([*h1, *h2])
-    return _class_transport(list(h1), list(h1.values()), list(h2), list(h2.values()), {}, uppers)
+    return _class_transport(list(h1), list(h1.values()), list(h2), list(h2.values()), {})
 
 
 # ---------------------------------------------------------------- refinement ids

@@ -225,8 +225,10 @@ def test_batch_signals_graphon_and_errors():
         "(lambda x: 0 * x + 0.5)(u)",
         "'0.5'",
         "(0 * u + 0.5).clip(0, 1)",
+        "9**9**8 * 0 + 0.5",
     ],
-    ids=["attribute chain", "subscript", "lambda", "string constant", "call outside whitelist"],
+    ids=["attribute chain", "subscript", "lambda", "string constant", "call outside whitelist",
+         "integer power tower"],
 )
 def test_every_path_rejects_disallowed_kernel_expressions(expr, tmp_path):
     gen = {"kind": "graphon_sample", "params": {"n": 4, "kernel_expr": expr},

@@ -82,7 +82,7 @@ def test_from_graph_errors():
     assert b.kernel[0, 1] == 1.0
 
 
-@pytest.mark.parametrize("aggregation", [SUM, NORMALIZED_SUM])
+@pytest.mark.parametrize("aggregation", [SUM, NORMALIZED_SUM, SYMMETRIC_AVERAGE])
 def test_from_graph_holds_two_dense_arrays_at_most(aggregation):
     """The adjacency is dropped before the signal copies the kernel: on a
     1,000-vertex ring, the peak stays near two n x n float arrays, where

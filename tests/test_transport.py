@@ -23,7 +23,6 @@ from bofop.measures import (
     DiscreteMeasure,
     _balanced_problem,
     _check_transport_input,
-    _least_cost_basis,
     _transport_simplex,
     ot_unbalanced,
     transport_cost,
@@ -272,7 +271,8 @@ def test_simplex_optimality_certificate(family, shape):
 # ------------------------------------------------------ frozen reference
 # The balanced build and the simplex as they stood before the simplex kept
 # its tree between pivots: every pivot walks the whole tree from the root
-# again. The solver in bofop.measures must give the same bits.
+# again. The start basis as it stood before it took lazy costs. The solver in
+# bofop.measures must give the same bits.
 
 
 def frozen_balanced_problem(a, b, cost):
@@ -293,10 +293,53 @@ def frozen_balanced_problem(a, b, cost):
     return a, b, cost
 
 
+def frozen_least_cost_basis(a, b, cost):
+    """Strongly feasible initial basis of m + n - 1 cells by the least-cost rule.
+
+    Cells are visited by increasing cost, ties in row-major order. Each cell
+    ships what its row and column still hold and retires exactly one of the
+    two, except the last, which retires both; so the cells form a spanning
+    tree even when the totals differ in the last bits. Which one retires is
+    decided on the perturbed problem in which every row supplies an extra
+    epsilon and the last column takes all of them in: amounts are pairs
+    (mass, epsilon count) compared lexicographically. A basis feasible for
+    that problem is strongly feasible for the root at the last column: a
+    tree cell with zero flow always has its row below its column.
+    """
+    m, n = cost.shape
+    supply = [(x, 1) for x in a.tolist()]
+    demand = [(x, 0) for x in b.tolist()]
+    demand[-1] = (demand[-1][0], m)
+    row_open = [True] * m
+    col_open = [True] * n
+    rows_left, cols_left = m, n
+    rows, cols, flows = [], [], []
+    for k in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(k, n)
+        if not (row_open[i] and col_open[j]):
+            continue
+        s, d = supply[i], demand[j]
+        x = min(s[0], d[0])
+        rows.append(i)
+        cols.append(j)
+        flows.append(x)
+        if rows_left == 1 and cols_left == 1:
+            break
+        if cols_left == 1 or (rows_left > 1 and s <= d):
+            row_open[i] = False
+            rows_left -= 1
+            demand[j] = (d[0] - x, d[1] - s[1])
+        else:
+            col_open[j] = False
+            cols_left -= 1
+            supply[i] = (s[0] - x, s[1] - d[1])
+    return rows, cols, flows
+
+
 def frozen_transport_simplex(a, b, cost):
     m, n = cost.shape
     c = cost.tolist()
-    rows, cols, flows = _least_cost_basis(a, b, cost)
+    rows, cols, flows = frozen_least_cost_basis(a, b, cost)
     # tree nodes: rows are 0..m-1, columns m..m+n-1; the root is the last column
     root = m + n - 1
     incident = [[] for _ in range(m + n)]
@@ -590,7 +633,7 @@ def assert_memo_matches_dense(b1, b2, depth):
     h2 = wl.compute_idms(b2, depth, uni).class_histogram()
     sides = (list(h1), list(h1.values()), list(h2), list(h2.values()))
     lazy, dense = {}, {}
-    value = wl._class_transport(*sides, lazy, wl._distance_uppers([*h1, *h2]))
+    value = wl._class_transport(*sides, lazy)
     assert value == frozen_class_transport(*sides, dense)
     assert value == wl.didm_movers_distance(b1, b2, depth)
     assert all(dense[key] == entry for key, entry in lazy.items())

@@ -205,7 +205,7 @@ def weighted_signals(draw):
 @settings(max_examples=60, deadline=None)
 @given(weighted_signals(), weighted_signals(), st.integers(1, 3),
        st.sampled_from([SUM, NORMALIZED_SUM]))
-def test_distance_uppers_bound_every_distance(first, second, depth, aggregation):
+def test_class_reach_bounds_every_distance(first, second, depth, aggregation):
     (n1, e1, f1), (n2, e2, f2) = first, second
     if len(f1[0]) != len(f2[0]):
         f2 = [row[:1] * len(f1[0]) for row in f2]
@@ -214,20 +214,20 @@ def test_distance_uppers_bound_every_distance(first, second, depth, aggregation)
     uni = IdmUniverse()
     h1 = compute_idms(b1, depth, uni).class_histogram()
     h2 = compute_idms(b2, depth, uni).class_histogram()
-    uppers = wl._distance_uppers([*h1, *h2])
     memo = {}
-    value = wl._class_transport(list(h1), list(h1.values()), list(h2), list(h2.values()),
-                                memo, uppers)
-    assert len(uppers) == depth + 1
-    assert value <= uppers[depth]
+    wl._class_transport(list(h1), list(h1.values()), list(h2), list(h2.values()), memo)
     trees = {}
     stack = [*h1, *h2]
     while stack:
         tree = stack.pop()
         trees[id(tree)] = tree
         stack.extend(tree.atoms + ((tree.parent,) if tree.parent is not None else ()))
-    for (key, _), distance in memo.items():
-        assert distance <= uppers[trees[key].level]
+    for tree in trees.values():
+        assert tree.support == frozenset(tree.atoms)
+        if tree.level:
+            assert tree.mass == float(tree.weights.sum())
+    for (key_x, key_y), distance in memo.items():
+        assert distance <= trees[key_x].reach + trees[key_y].reach
 
 
 def test_idm_distance_level_mismatch():
