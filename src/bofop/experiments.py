@@ -277,6 +277,12 @@ def run_continuity(cfg: ExperimentConfig) -> tuple:
 
 # ------------------------------------------------- generalization machinery
 
+# Graphs per batch_forward block: 4,096 ER8 graphs keep a layer's arrays
+# within a few MiB. A power of two, because BLAS's matrix-vector product
+# rounds the rows past a call's last full group of four another way, so each
+# block must end where one call on the whole batch ends a group.
+_BLOCK = 4096
+
 
 def batch_signals(gen: dict, count: int, rng):
     """Vectorized sampler for a batch of kernels and features from one
@@ -291,17 +297,26 @@ def batch_signals(gen: dict, count: int, rng):
     if spec.kind not in (ERDOS_RENYI, GRAPHON_SAMPLE):
         raise ValueError(f"batch sampling does not support generator {spec.kind!r}")
     n, probs = edge_probabilities(spec.kind, spec.params, rng, (count,))
-    draws = rng.random((count, n, n))
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    weights = np.where(upper, (draws < probs).astype(float), 0.0)
-    weights = weights + weights.transpose(0, 2, 1)
-    kernels = aggregate(weights, spec.aggregation)
+    adj = rng.random((count, n, n)) < probs
+    adj &= ~np.tri(n, dtype=bool)
+    adj |= adj.transpose(0, 2, 1)
+    kernels = aggregate(adj, spec.aggregation)
     return kernels, materialize_features(spec.features, (count, n), rng)
 
 
 def batch_forward(model: MpnnModel, kernels, features):
-    """forward_bofop over a stacked batch with uniform vertex weights."""
-    return model.readout.apply(layer_pass(model, kernels, features)[-1].mean(axis=1))
+    """forward_bofop over a stacked batch with uniform vertex weights, taken
+    _BLOCK graphs at a time so that each block's layers stay in cache."""
+    count, n = features.shape[:2]
+    out = np.empty((count, model.output_dim))
+    # a lone last graph joins the block before it: numpy multiplies a single
+    # row by another BLAS routine, which rounds differently
+    bounds = [*range(0, max(count - 1, 1), _BLOCK), count]
+    for block in map(slice, bounds, bounds[1:]):
+        # the mean's bits: numpy's mean is this sum, then a true divide
+        pooled = layer_pass(model, kernels[block], features[block])[-1].sum(axis=1) / n
+        out[block] = model.readout.apply(pooled)
+    return out
 
 
 def _mixture_loss_sums(models, generators, labels, rng, count):

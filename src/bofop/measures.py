@@ -85,11 +85,6 @@ class DiscreteMeasure:
         return float(self.weights.sum())
 
 
-def dirac(point, weight=1.0) -> DiscreteMeasure:
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    return DiscreteMeasure(point.shape[0], point.reshape(1, -1), [weight])
-
-
 def measures_equal(mu: DiscreteMeasure, nu: DiscreteMeasure, weight_tol=TOL) -> bool:
     """Equality of the induced measures, compared in their stored canonical forms."""
     if mu.ambient_dim != nu.ambient_dim or mu.n_atoms != nu.n_atoms:
@@ -468,32 +463,6 @@ def ot_unbalanced(mu: DiscreteMeasure, nu: DiscreteMeasure, ground: GroundMetric
     if _equal_up_to_representation(mu, nu):
         return abs(mu.total_mass - nu.total_mass)
     return transport_cost(mu.weights, nu.weights, ground.pairwise(mu.atoms, nu.atoms))
-
-
-def kr_lower_bound(mu: DiscreteMeasure, nu: DiscreteMeasure, test_fn) -> float:
-    """Duality lower bound: integral of a 1-Lipschitz test function against mu - nu.
-
-    Balanced inputs only. The caller certifies the Lipschitz property; the
-    value never exceeds ot_unbalanced(mu, nu) when that holds.
-    """
-    if abs(mu.total_mass - nu.total_mass) > TOL:
-        raise ValueError("duality bound requires equal total masses")
-
-    def integrate(m):
-        return sum(w * float(test_fn(x)) for x, w in zip(m.atoms, m.weights))
-
-    return integrate(mu) - integrate(nu)
-
-
-def pushforward_measure(mu: DiscreteMeasure, fn) -> DiscreteMeasure:
-    """Map atoms pointwise and keep weights. Total mass is unchanged."""
-    if mu.n_atoms == 0:
-        return mu
-    images = [np.atleast_1d(np.asarray(fn(x), dtype=float)).ravel() for x in mu.atoms]
-    out_dim = images[0].shape[0]
-    if any(img.shape[0] != out_dim for img in images):
-        raise ValueError("map output dimension inconsistent across atoms")
-    return DiscreteMeasure(out_dim, np.array(images), mu.weights)
 
 
 # the projected bound gives up this fraction of its scale, the total mass

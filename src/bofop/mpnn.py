@@ -44,6 +44,10 @@ class ProfileReadoutError(ValueError):
         )
 
 
+def _clamp(x, out):  # np.clip's bits without its Python wrappers
+    return np.minimum(np.maximum(x, -1.0, out=out), 1.0, out=out)
+
+
 @dataclass(frozen=True, eq=False)
 class CertifiedMap:
     """Affine map plus a coordinatewise saturating nonlinearity.
@@ -82,6 +86,13 @@ class CertifiedMap:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "bias", bias)
         object.__setattr__(self, "nonlinearity", names)
+        # each nonlinearity acts in place on its columns: all of them at once
+        # when one name covers every coordinate, else one at a time
+        whole = len(set(names)) == 1
+        object.__setattr__(self, "_columns", [
+            (slice(None) if whole else c, np.tanh if name == TANH else _clamp)
+            for c, name in enumerate(names[:1] if whole else names)])
+        object.__setattr__(self, "_bias", bias.tolist())
 
     @property
     def in_dim(self) -> int:
@@ -111,15 +122,13 @@ class CertifiedMap:
         rows = values.reshape(1, -1) if single else values
         if rows.shape[1] != self.in_dim:
             raise ValueError(f"expected input dimension {self.in_dim}, got {rows.shape[1]}")
-        out = rows @ self.weight.T + self.bias
-        tanh = np.array(self.nonlinearity) == TANH
-        if not tanh.any():
-            np.clip(out, -1.0, 1.0, out=out)
-        elif tanh.all():
-            np.tanh(out, out=out)
-        else:
-            out[:, ~tanh] = np.clip(out[:, ~tanh], -1.0, 1.0)
-            out[:, tanh] = np.tanh(out[:, tanh])
+        out = rows @ self.weight.T
+        # down the columns: a broadcast add along narrow rows is much slower
+        for column, bias in zip(out.T, self._bias):
+            column += bias
+        for columns, nonlinearity in self._columns:
+            view = out[:, columns]
+            nonlinearity(view, out=view)
         return out[0] if single else out
 
 
@@ -169,12 +178,17 @@ def layer_pass(model: MpnnModel, kernels, features) -> list:
     lead = features.shape[:-1]
 
     def apply_rows(update, values):
-        return update.apply(values.reshape(-1, values.shape[-1])).reshape(*lead, -1)
+        return update.apply(values.reshape(-1, values.shape[-1])).reshape(*lead, update.out_dim)
 
     hidden = apply_rows(model.updates[0], features)
     hiddens = [hidden]
     for update in model.updates[1:]:
-        hidden = apply_rows(update, np.concatenate([hidden, kernels @ hidden], axis=-1))
+        width = hidden.shape[-1]
+        pair = np.empty((*lead, 2 * width))
+        for c in range(width):  # down the columns, as in CertifiedMap.apply
+            pair[..., c] = hidden[..., c]
+        np.matmul(kernels, hidden, out=pair[..., width:])
+        hidden = apply_rows(update, pair)
         hiddens.append(hidden)
     return hiddens
 

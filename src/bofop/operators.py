@@ -221,14 +221,15 @@ def aggregate(adj, aggregation) -> np.ndarray:
     """Kernels of stacked symmetric weight matrices shaped (..., n, n).
 
     SUM keeps raw weights, NORMALIZED_SUM divides by n, SYMMETRIC_AVERAGE is
-    D^(-1/2) W D^(-1/2) with zero rows for isolated vertices.
+    D^(-1/2) W D^(-1/2) with zero rows for isolated vertices. A boolean
+    adjacency gives the bits of its 0/1 float copy.
     """
     if aggregation == SUM:
-        return adj
+        return adj.astype(float, copy=False)
     if aggregation == NORMALIZED_SUM:
         return adj / adj.shape[-1]
     if aggregation == SYMMETRIC_AVERAGE:
-        deg = adj.sum(axis=-1)
+        deg = adj.sum(axis=-1, dtype=float)
         inv_sqrt = np.zeros_like(deg)
         nz = deg > 0
         inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])

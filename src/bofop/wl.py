@@ -145,12 +145,13 @@ def _class_transport(atoms_a, weights_a, atoms_b, weights_b, memo) -> float:
     distances between the classes, taken in the given order. Atoms on one
     side are distinct classes.
 
-    Level-0 costs go in exact and are solved dense. Above level 0, a cell not
-    memoized (nor x is y) is the lower bound d(x.parent, y.parent) + |m_x -
-    m_y|, with the masses summed as transport_cost does, without the gap if x
-    and y hold the same classes (the shortcut may give 0.0): a transport is
-    fl(dot + gap) >= gap, and rounding is monotone. Every cell is at most the
-    largest reach on side a plus the largest on side b.
+    Level-0 costs go in exact. Above level 0, a cell not memoized (nor x is
+    y) is the lower bound d(x.parent, y.parent) + |m_x - m_y|, with the masses
+    summed as transport_cost does, without the gap if x and y hold the same
+    classes (the shortcut may give 0.0): a transport is fl(dot + gap) >= gap,
+    and rounding is monotone. Every cell is at most the largest reach on side
+    a plus the largest on side b. A matrix with no bound in it is solved
+    dense, which is faster and gives the same bits.
     """
     on_b = dict(zip(atoms_b, weights_b))
     if len(on_b) == len(atoms_a) and all(
@@ -173,7 +174,7 @@ def _class_transport(atoms_a, weights_a, atoms_b, weights_b, memo) -> float:
     upper = max((x.reach for x in atoms_a), default=0.0)
     upper += max((y.reach for y in atoms_b), default=0.0)
     return transport_cost(
-        weights_a, weights_b, cost, pending if atoms_a and atoms_a[0].level else None,
+        weights_a, weights_b, cost, pending if pending.any() else None,
         lambda i, j: _distance_memo(atoms_a[i], atoms_b[j], memo), upper,
     )
 

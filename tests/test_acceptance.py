@@ -24,9 +24,7 @@ from bofop.measures import (
     GROUND_L2,
     DiscreteMeasure,
     hausdorff_set_distance,
-    kr_lower_bound,
     ot_unbalanced,
-    pushforward_measure,
 )
 from bofop.mpnn import (
     forward_bofop,
@@ -60,6 +58,7 @@ from bofop.wl import (
     didm_movers_distance,
     idm_distance,
 )
+from measure_helpers import kr_lower_bound, pushforward_measure
 from ot_oracle import ot_oracle
 
 TOL = 1e-9

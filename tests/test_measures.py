@@ -11,15 +11,13 @@ from bofop.measures import (
     DiscreteMeasure,
     GroundMetric,
     MERGE_TOL,
-    dirac,
     hausdorff_set_distance,
-    kr_lower_bound,
     measures_equal,
     ot_unbalanced,
-    pushforward_measure,
     _projected_lower_bound,
     transport_cost,
 )
+from measure_helpers import dirac, kr_lower_bound, pushforward_measure
 from ot_oracle import enumerate_tree_costs, ot_oracle, transport_oracle
 
 TOL = 1e-9

@@ -11,7 +11,6 @@ from bofop.measures import (
     DiscreteMeasure,
     hausdorff_set_distance,
     measures_equal,
-    pushforward_measure,
 )
 from bofop.operators import (
     SUM,
@@ -36,6 +35,7 @@ from bofop.profiles import (
     sample_k_profile,
 )
 from bofop.wl import color_refinement_ids
+from measure_helpers import pushforward_measure
 
 TOL = 1e-9
 

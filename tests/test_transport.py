@@ -568,17 +568,21 @@ def er24_pair():
 
 def test_real_runs_match_the_frozen_reference(monkeypatch):
     """The transports of the continuity golden and of the README's depth-2
-    mover's distance on the ER24 pair (seeds 7 and 8) re-solved bit for bit.
-    A lazy call is re-solved on its exact matrix, filled in after the run,
-    with every bound at most its cost and every cost at most upper; the
-    frozen dense solve gives the value the lazy one returned."""
+    and depth-3 mover's distances on the ER24 pair (seeds 7 and 8) re-solved
+    bit for bit. A lazy call is re-solved on its exact matrix, filled in
+    after the run, with every bound at most its cost and every cost at most
+    upper; the frozen dense solve gives the value the lazy one returned. A
+    matrix with no bound in it is passed without a mask."""
     golden = pathlib.Path(__file__).parent / "golden" / "continuity.json"
     seen = record_transports(monkeypatch)
     run_experiment(config_from_dict(json.loads(golden.read_text())["config"]))
-    wl.didm_movers_distance(*er24_pair(), 2)
+    pair = er24_pair()
+    wl.didm_movers_distance(*pair, 2)
+    wl.didm_movers_distance(*pair, 3)
     monkeypatch.undo()
     solved = [call for call in seen if call[0].sum() > 0.0 and call[1].sum() > 0.0]
     assert len(solved) > 100
+    assert all(call[3] is None or call[3].any() for call in seen)
     assert sum(call[3] is not None for call in solved) > 100
     for a, b, cost, pending, exact, upper, value in solved:
         if pending is not None:
