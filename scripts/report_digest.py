@@ -14,8 +14,13 @@ against two trees and the outputs compared:
     PYTHONPATH=/path/to/base/src python3 scripts/report_digest.py > base.txt
     PYTHONPATH=src python3 scripts/report_digest.py > head.txt
     diff base.txt head.txt
+
+A header line comes first. It names the numpy version, numpy's active SIMD
+dispatch targets and the OpenBLAS core, since the last bits of some reports
+depend on them: the bytes are the same per machine, not across machines.
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -45,6 +50,30 @@ def import_bofop():
 
     if not os.path.abspath(bofop.__file__).startswith(src + os.sep):
         raise SystemExit(f"bofop resolved to {bofop.__file__}, not to {src}")
+
+
+def machine() -> str:
+    """The header line: what selects the floating-point kernels on this
+    machine. The OpenBLAS core is read from the library that numpy ships, or
+    is "unknown" when that library does not export it."""
+    import numpy
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    active = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    core = "unknown"
+    libs = pathlib.Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    return (f"# numpy {numpy.__version__}; dispatch {' '.join(active) or 'baseline only'}; "
+            f"openblas core {core}")
 
 
 def sha(text) -> str:
@@ -105,6 +134,7 @@ def tour_digests(workdir):
 
 def main():
     import_bofop()
+    print(machine())
     with tempfile.TemporaryDirectory() as workdir:
         for name, digest in (*golden_digests(), *tour_digests(workdir)):
             print(f"{digest}  {name}")

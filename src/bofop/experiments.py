@@ -22,6 +22,7 @@ from .operators import (
     OBJECT,
     OBJECT_OR_NULL,
     GeneratorSpec,
+    Required,
     admit,
     aggregate,
     bofop_from_graph_dict,
@@ -54,9 +55,9 @@ SVG = "svg"
 # config's seeds draw every graph. A zero tolerance or deviation would make
 # its check vacuous, so those must be positive.
 CONFIG_RULES = {
-    "kind": one_of(*KINDS),
-    "generators": list_of(OBJECT, "a non-empty list of generator objects without a seed key",
-                          lambda v: v and all("seed" not in g for g in v)),
+    "kind": Required(one_of(*KINDS)),
+    "generators": Required(list_of(OBJECT, "a non-empty list of generator objects without a "
+                                   "seed key", lambda v: v and all("seed" not in g for g in v))),
     "sizes": list_of(count(1), "a strictly increasing list of integers >= 1",
                      lambda v: all(a < b for a, b in zip(v, v[1:]))),
     "seeds": list_of(count(0), "a non-empty list of integers >= 0", bool),
@@ -154,10 +155,10 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def _spec_for(gen: dict, size=None, seed=0) -> GeneratorSpec:
-    spec = spec_from_dict(gen)
-    if size is not None:
-        spec.params["m" if spec.kind == EQUATOR else "n"] = size
-    return replace(spec, seed=seed)
+    params = gen.get("params", {})
+    if size is not None and isinstance(params, dict):  # the schedule gives the size
+        gen = {**gen, "params": {**params, "m" if gen.get("kind") == EQUATOR else "n": size}}
+    return replace(spec_from_dict(gen), seed=seed)
 
 
 def _distances(cfg: ExperimentConfig, g_a, g_b, seed) -> tuple:
@@ -468,8 +469,6 @@ def _csv_cell(value) -> str:
         if "," in value or "\n" in value:
             raise ValueError(f"unescapable csv value {value!r}")
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))

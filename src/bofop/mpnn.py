@@ -4,10 +4,8 @@ sampled profiles.
 
 Update maps come from a closed family, affine followed by a coordinatewise
 clamp to [-1, 1] or tanh, so images stay in [-1, 1], l1 Lipschitz constants
-compose by multiplication, and the max-column-sum of the affine part is a
-computable certificate. Declared constants are accepted as overrides (the
-on-domain constant can be smaller than the affine bound); tests spot-check
-them by finite differencing.
+compose by multiplication, and the max-column-sum of the affine part is the
+certificate: every constant is computed from the weights, never declared.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscreteMeasure, GROUND_L1, measures_equal, ot_unbalanced
-from .operators import FiniteBofopSignal, admit, apply_operator, list_of, real, reals, rule
+from .operators import FiniteBofopSignal, Required, admit, apply_operator, list_of, reals, rule
 from .profiles import (
     ProfileSample,
     SignalMap,
@@ -53,14 +51,13 @@ class CertifiedMap:
     """Affine map plus a coordinatewise saturating nonlinearity.
 
     nonlinearity is one name for all coordinates or a per-coordinate tuple.
-    The stored Lipschitz constant is the declared one when given, else the
-    l1 operator norm of the affine part (max column abs sum).
+    Its Lipschitz constant is the l1 operator norm of the affine part (max
+    column abs sum).
     """
 
     weight: np.ndarray
     bias: np.ndarray
     nonlinearity: object = CLAMP
-    declared_lipschitz: float | None = None
 
     def __post_init__(self):
         weight = np.array(self.weight, dtype=float)
@@ -77,10 +74,6 @@ class CertifiedMap:
         names = tuple(names)
         if len(names) != weight.shape[0] or any(n not in NONLINEARITIES for n in names):
             raise ValueError(f"nonlinearity must be per-coordinate from {NONLINEARITIES}")
-        if self.declared_lipschitz is not None and not (
-            np.isfinite(self.declared_lipschitz) and self.declared_lipschitz >= 0
-        ):
-            raise ValueError("declared Lipschitz constant must be finite and nonnegative")
         weight.flags.writeable = False
         bias.flags.writeable = False
         object.__setattr__(self, "weight", weight)
@@ -103,18 +96,12 @@ class CertifiedMap:
         return self.weight.shape[0]
 
     @property
-    def computed_lipschitz(self) -> float:
+    def lipschitz(self) -> float:
         # l1 -> l1 operator norm of the affine part; the nonlinearities are
         # 1-Lipschitz coordinatewise so this bounds the composite
         if self.weight.size == 0:
             return 0.0
         return float(np.abs(self.weight).sum(axis=0).max())
-
-    @property
-    def lipschitz(self) -> float:
-        if self.declared_lipschitz is not None:
-            return float(self.declared_lipschitz)
-        return self.computed_lipschitz
 
     def apply(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=float)
@@ -403,35 +390,31 @@ def lipschitz_certificate(model: MpnnModel, r: float) -> float:
 
 
 def _map_to_dict(m: CertifiedMap) -> dict:
-    out = {
+    return {
         "weight": m.weight.tolist(),
         "bias": m.bias.tolist(),
         "nonlinearity": list(m.nonlinearity),
     }
-    if m.declared_lipschitz is not None:
-        out["lipschitz"] = m.declared_lipschitz
-    return out
 
 
 # What a map and a model file admit; the constructors check the dimensions.
 MAP_RULES = {
-    "weight": reals(),
-    "bias": reals(),
+    "weight": Required(reals()),
+    "bias": Required(reals()),
     # a bare name stays intact so the constructor broadcasts it per coordinate
     "nonlinearity": rule(f"one of {', '.join(NONLINEARITIES)} or a list of them",
                          lambda v: v in NONLINEARITIES or isinstance(v, list)
                          and all(name in NONLINEARITIES for name in v)),
-    "lipschitz": real("[0, inf)"),
 }
 
 
 def _map_from_dict(d: dict) -> CertifiedMap:
     d = admit(d, MAP_RULES, "map")
-    return CertifiedMap(d["weight"], d["bias"], d.get("nonlinearity", CLAMP), d.get("lipschitz"))
+    return CertifiedMap(d["weight"], d["bias"], d.get("nonlinearity", CLAMP))
 
 
 _MAP = lambda value, field: _map_from_dict(value)
-MODEL_RULES = {"updates": list_of(_MAP, "a list of maps"), "readout": _MAP}
+MODEL_RULES = {"updates": Required(list_of(_MAP, "a list of maps")), "readout": Required(_MAP)}
 
 
 def model_to_dict(model: MpnnModel) -> dict:

@@ -121,6 +121,17 @@ def list_of(item, text, holds=lambda entries: True):
     return admit
 
 
+class Required:
+    """The item rule of a key that every document carries, else "<field> is
+    required"; the field is named name in both errors when given."""
+
+    def __init__(self, item, name=None):
+        self.item, self.name = item, name
+
+    def __call__(self, value, field):
+        return self.item(value, self.name or field)
+
+
 OBJECT = rule("an object", lambda v: isinstance(v, dict), dict)
 OBJECT_OR_NULL = rule("an object or null", lambda v: v is None or isinstance(v, dict),
                       lambda v: None if v is None else dict(v))
@@ -133,6 +144,9 @@ def admit(doc, table, what, prefix=""):
         raise ValueError(f"{what} must be an object, got {type(doc).__name__}")
     if not doc.keys() <= table.keys():
         raise ValueError(f"unknown {what} keys: {sorted(doc.keys() - table.keys())}")
+    for key, item in table.items():
+        if key not in doc and isinstance(item, Required):
+            raise ValueError(f"{item.name or prefix + key} is required")
     stored = {}
     for key, value in doc.items():
         stored[key] = table[key](value, prefix + key)
@@ -344,20 +358,21 @@ class GeneratorSpec:
 
 
 PARAMS_RULES = {
-    ERDOS_RENYI: {"n": count(1), "p": real("[0, 1]")},
-    GRAPHON_SAMPLE: {"n": count(1), "kernel_expr": rule("a string", lambda v: isinstance(v, str))},
-    EQUATOR: {"m": count(1), "band_eps": real("(0, 1)")},
-    RING: {"n": count(1)},
-    COMPLETE: {"n": count(1)},
+    ERDOS_RENYI: {"n": Required(count(1)), "p": Required(real("[0, 1]"))},
+    GRAPHON_SAMPLE: {"n": Required(count(1)),
+                     "kernel_expr": Required(rule("a string", lambda v: isinstance(v, str)))},
+    EQUATOR: {"m": Required(count(1)), "band_eps": Required(real("(0, 1)"))},
+    RING: {"n": Required(count(1))},
+    COMPLETE: {"n": Required(count(1))},
 }
 _MODE = one_of("constant", "uniform", "list")
 FEATURES_RULES = {
     "constant": {"mode": _MODE, "value": reals("[-1, 1]")},
     "uniform": {"mode": _MODE, "dim": count(1)},
-    "list": {"mode": _MODE, "values": reals("[-1, 1]")},
+    "list": {"mode": _MODE, "values": Required(reals("[-1, 1]"))},
 }
 SPEC_RULES = {
-    "kind": one_of(*PARAMS_RULES),
+    "kind": Required(one_of(*PARAMS_RULES)),
     "params": OBJECT,
     "aggregation": one_of(*AGGREGATIONS),
     "features": OBJECT_OR_NULL,
@@ -536,10 +551,10 @@ def generate_graph_dict(spec: GeneratorSpec) -> dict:
 # What a graph file admits; from_graph checks each edge.
 GRAPH_RULES = {
     # named "graph n", as its errors always were
-    "n": lambda v, field: count(1, "an integer n >= 1")(v, "graph n"),
+    "n": Required(count(1, "an integer n >= 1"), "graph n"),
     "edges": rule("a list of [i, j, weight] edges", lambda v: isinstance(v, list)),
     "aggregation": one_of(*AGGREGATIONS),
-    "features": reals(),
+    "features": Required(reals()),
     "vertex_weights": reals(),
     "kernel": reals("[0, inf)"),
 }
@@ -555,6 +570,9 @@ def bofop_from_graph_dict(d: dict) -> FiniteBofopSignal:
         if "edges" in d or "aggregation" in d:
             raise ValueError("graph dict must carry either a kernel or edges, not both")
         return FiniteBofopSignal(n, vertex_weights, d["kernel"], features)
+    for key in ("edges", "aggregation"):
+        if key not in d:
+            raise ValueError(f"{key} is required in a graph without a kernel")
     return from_graph(n, d["edges"], features, d["aggregation"], vertex_weights)
 
 

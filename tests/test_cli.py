@@ -463,7 +463,6 @@ def test_string_and_boolean_reals_exit_one(bad, tmp_path):
     models = [
         ("weight", {**layer, "weight": [[bad]]}),
         ("bias", {**layer, "bias": [bad]}),
-        ("lipschitz", {**layer, "lipschitz": bad}),
     ]
     model_path = tmp_path / "m.json"
     for field, broken in models:
@@ -589,8 +588,7 @@ _SPEC = {**_GENERATOR, "seed": 3}
 _MODEL = {
     "updates": [
         {"weight": [[0.5], [-0.4]], "bias": [0.1, -0.2], "nonlinearity": ["clamp", "clamp"]},
-        {"weight": [[0.6, 0.2, 0.3, 0.1]], "bias": [0.25], "nonlinearity": "tanh",
-         "lipschitz": 1.0},
+        {"weight": [[0.6, 0.2, 0.3, 0.1]], "bias": [0.25], "nonlinearity": "tanh"},
     ],
     "readout": {"weight": [[0.5]], "bias": [-0.3]},
 }
@@ -790,6 +788,64 @@ def test_values_outside_their_rule_exit_one(family, doc, field, tmp_path):
     if family == "config":
         assert "seed" in res.output
     assert not out.exists()
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+_KERNEL = {"n": 2, "kernel": [[0.0, 1.0], [1.0, 0.0]], "features": [[0.5], [-0.5]]}
+
+
+@pytest.mark.parametrize("family, doc, field", [
+    *(("graph", _without(_EDGES, key), "graph n" if key == "n" else key) for key in _EDGES),
+    ("graph", _without(_KERNEL, "n"), "graph n"),
+    ("graph", _without(_KERNEL, "features"), "features"),
+    ("spec", _without(ER8, "kind"), "kind"),
+    ("spec", {**ER8, "params": {"p": 0.5}}, "erdos_renyi n"),
+    ("spec", {**ER8, "params": {"n": 8}}, "erdos_renyi p"),
+    ("spec", _without(ER8, "params"), "erdos_renyi n"),
+    ("spec", {**_GRAPHON, "params": {"kernel_expr": "u * v"}}, "graphon_sample n"),
+    ("spec", {**_GRAPHON, "params": {"n": 4}}, "graphon_sample kernel_expr"),
+    ("spec", {"kind": "equator", "params": {"band_eps": 0.3}}, "equator m"),
+    ("spec", {"kind": "equator", "params": {"m": 6}}, "equator band_eps"),
+    ("spec", {"kind": "ring"}, "ring n"),
+    ("spec", {"kind": "complete", "params": {}}, "complete n"),
+    ("spec", {**ER8, "features": {"mode": "list"}}, "features values"),
+    ("model", {"updates": [_without(_LAYER, "weight")], "readout": _LAYER}, "weight"),
+    ("model", {"updates": [_LAYER], "readout": _without(_LAYER, "bias")}, "bias"),
+    ("model", {"readout": _LAYER}, "model updates"),
+    ("model", {"updates": [_LAYER]}, "model readout"),
+    ("config", {"generators": [_without(ER8, "params")]}, "kind"),
+    ("config", {"kind": "fineness"}, "generators"),
+])
+def test_missing_required_keys_exit_one(family, doc, field, tmp_path):
+    # each of these once escaped as a bare KeyError or TypeError, which named
+    # the key without its document, or not at all
+    graph = tmp_path / "g.json"
+    write_graph(graph)
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, _reader(family, str(path), str(graph), str(out)))
+    assert_guarded_error(res)
+    assert f"error: {field} is required" in res.output, res.output
+    assert not out.exists()
+
+
+def test_a_schedule_supplies_the_size_its_generators_omit(tmp_path):
+    # a convergence generator draws each size of the schedule, so it may leave
+    # its size key out; any other runner reads the size from the generator
+    base = {"generators": [{"kind": "ring", "aggregation": "normalized_sum"}], "seeds": [0],
+            "depth": 1, "k_max": 1, "num_samples": 2, "pairs": 1}
+    for kind, code in (("convergence", 0), ("fineness", 1)):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({**base, "kind": kind, "sizes": [3, 4]}))
+        out = tmp_path / kind
+        res = CliRunner().invoke(main, _reader("config", str(path), None, str(out)))
+        assert res.exit_code == code, res.output
+        if code:
+            assert "error: ring n is required" in res.output, res.output
 
 
 @pytest.mark.parametrize("seed", [0, 3, 3.0])

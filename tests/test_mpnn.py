@@ -39,10 +39,10 @@ def identity_map(n):
     return CertifiedMap(np.eye(n), np.zeros(n), CLAMP)
 
 
-def affine(rows, bias=None, nl=CLAMP, lip=None):
+def affine(rows, bias=None, nl=CLAMP):
     w = np.array(rows, dtype=float)
     b = np.zeros(w.shape[0]) if bias is None else bias
-    return CertifiedMap(w, b, nl, lip)
+    return CertifiedMap(w, b, nl)
 
 
 def k2(f0=0.2, f1=0.8):
@@ -75,7 +75,7 @@ def random_bofop(rng, n, d=1, aggregation=NORMALIZED_SUM):
 
 def test_certified_map_apply_and_constant():
     m = affine([[1.0, -2.0], [0.5, 0.0]])
-    assert m.computed_lipschitz == pytest.approx(2.0)  # columns sum to 1.5 and 2
+    assert m.lipschitz == pytest.approx(2.0)  # columns sum to 1.5 and 2
     out = m.apply(np.array([0.5, 0.5]))
     assert out == pytest.approx([-0.5, 0.25])
     batch = m.apply(np.array([[0.5, 0.5], [1.0, 1.0]]))
@@ -107,12 +107,6 @@ def test_certified_map_apply_matches_column_loop():
         assert np.array_equal(m.apply(x[0]), column_loop(m, x[:1])[0])
 
 
-def test_certified_map_declared_constant_wins():
-    m = affine([[2.0]], lip=0.5)
-    assert m.computed_lipschitz == 2.0
-    assert m.lipschitz == 0.5
-
-
 def test_certified_map_errors():
     with pytest.raises(ValueError):
         CertifiedMap(np.eye(2), np.zeros(3), CLAMP)
@@ -120,8 +114,6 @@ def test_certified_map_errors():
         CertifiedMap(np.eye(2), np.zeros(2), "relu")
     with pytest.raises(ValueError):
         CertifiedMap(np.eye(2), np.zeros(2), (CLAMP,))
-    with pytest.raises(ValueError):
-        CertifiedMap(np.eye(2), np.zeros(2), CLAMP, -1.0)
     with pytest.raises(ValueError):
         identity_map(2).apply(np.zeros(3))
 
@@ -448,8 +440,8 @@ def test_certificate_zero_norm_form():
 
 def test_certificate_linear_in_readout_constant():
     updates = (identity_map(1), affine([[0.5, 0.5]]))
-    lo = MpnnModel(updates, affine([[1.0]], lip=2.0))
-    hi = MpnnModel(updates, affine([[1.0]], lip=6.0))
+    lo = MpnnModel(updates, affine([[2.0]]))
+    hi = MpnnModel(updates, affine([[6.0]]))
     assert lipschitz_certificate(hi, 0.7) == pytest.approx(
         3.0 * lipschitz_certificate(lo, 0.7)
     )
@@ -478,23 +470,19 @@ def test_finite_difference_never_beats_constant():
 def test_model_json_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     model = random_model(rng, 2, [2, 1])
-    low = MpnnModel(
-        model.updates,
-        CertifiedMap(model.readout.weight, model.readout.bias,
-                     model.readout.nonlinearity, 0.25),
-    )
-    data = model_to_dict(low)
+    data = model_to_dict(model)
     back = model_from_dict(data)
-    assert back.hidden_dims == low.hidden_dims
-    assert back.readout.lipschitz == 0.25
+    assert back.hidden_dims == model.hidden_dims
+    assert [u.lipschitz for u in back.updates] == [u.lipschitz for u in model.updates]
+    assert back.readout.lipschitz == model.readout.lipschitz
     sig = random_bofop(rng, 5, d=2)
-    _, a = forward_bofop(low, sig)
+    _, a = forward_bofop(model, sig)
     _, b = forward_bofop(back, sig)
     assert np.allclose(a, b, atol=0)
     path = tmp_path / "model.json"
     from bofop.mpnn import load_model, save_model
 
-    save_model(low, path)
+    save_model(model, path)
     again = load_model(path)
     _, c = forward_bofop(again, sig)
     assert np.allclose(a, c, atol=0)

@@ -240,8 +240,12 @@ def test_sparse_aggregation_collapse():
         spec = GeneratorSpec(ERDOS_RENYI, {"n": n, "p": c / n},
                              aggregation=NORMALIZED_SUM, seed=2)
         b = generate(spec)
-        peak = apply_operator(b, np.ones(n)).max()
-        assert peak <= (c + 3 * np.sqrt(c)) / n
+        # under normalized_sum the operator maps ones to degree / n; at n = 1000
+        # the largest degree lies exactly on the envelope, so the envelope is
+        # checked on the integer degrees, whose value no BLAS kernel rounds
+        degrees = np.count_nonzero(b.kernel, axis=1)
+        assert apply_operator(b, np.ones(n)) == pytest.approx(degrees / n, rel=1e-12)
+        assert degrees.max() <= c + 3 * np.sqrt(c)
 
 
 def test_permute_bofop_round_trip():
