@@ -115,7 +115,17 @@ class ExperimentConfig:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    return ExperimentConfig(**admit(d, CONFIG_RULES, "config"))
+    """A config read from data, with every generator read as a spec (a
+    convergence generator takes its size from the schedule, as the runner
+    gives it) and every model as a model, so a bad spec or map is refused
+    here rather than when a runner reaches it. The config keeps the dicts."""
+    cfg = ExperimentConfig(**admit(d, CONFIG_RULES, "config"))
+    size = cfg.sizes[0] if cfg.kind == CONVERGENCE and cfg.sizes else None
+    for gen in cfg.generators:
+        _spec_for(gen, size)
+    for model in cfg.models if cfg.model is None else (cfg.model, *cfg.models):
+        model_from_dict(model)
+    return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -39,7 +39,11 @@ class IdmTree:
     apart; reach is ||feature||_2 at level 0 and parent.reach + mass * (largest
     atom reach + 1) above, padded by 1e-9, as a class transport ships the
     lighter mass over cells of at most the two largest atom reaches and adds
-    the mass gap.
+    the mass gap. mass and support serve the lazy class transport's lower
+    bounds: a transport pays at least its mass gap, so two classes on
+    different supports lie at least |m_x - m_y| apart, and _line_bound puts
+    a class above level 0 on the line at its mass. On one support the
+    equal-class shortcut may give 0.0, so there neither bound applies.
     """
 
     level: int
@@ -137,6 +141,68 @@ def compute_idms(signal: FiniteBofopSignal, depth: int, universe: IdmUniverse | 
     return Didm(depth, tuple(current), signal.vertex_weights)
 
 
+# The line bound gives up this fraction of its scale, the two class masses
+# times the largest projected coordinate, to cover rounding: in the cumulative
+# sums and grid widths here, in the flows of the exact solve, whose marginals
+# agree only up to their last bits, and in the level-0 cost, a rounded square
+# root of rounded squares that may lie a few ulps below one coordinate's
+# difference. Each is a few ulps per term, far below this fraction at any size
+# that runs. Atom classes above level 0 give up STRUCT_TOL per atom of theirs
+# on top, per unit of mass shipped: two on the same classes with weights
+# within STRUCT_TOL transport at 0.0 while their masses differ by up to that
+# many STRUCT_TOL, so there |m_u - m_v| bounds their distance only up to it.
+_LINE_RTOL = 1e-12
+
+
+def _line_bound(rows, cols):
+    """Lower bounds on the transports between the level measures of each row
+    class x and column class y, both above level 0 and on different classes:
+    their mass gap plus a 1-D partial transport bound (Bonneel and
+    Coeurjolly, SIGGRAPH 2019).
+
+    Each atom goes to a point on the line: its mass above level 0, as
+    d(u, v) >= |m_u - m_v| (a transport pays at least its mass gap), and
+    each feature coordinate at level 0, as the l2 cost is at least
+    |f_u,k - f_v,k|. The lighter measure mu ships into a sub-measure of the
+    heavier nu, whose cumulative weight lies between F_nu - gap and F_nu, so
+    the transport costs at least the integral of
+    max(0, F_mu - F_nu, F_nu - gap - F_mu) over the line: at level 0 the
+    largest coordinate's, less _LINE_RTOL's allowance, and never below 0.
+    One table of cumulative weights on the grid of distinct points serves
+    both sides, then one array pass per row. An empty fiber has F = 0.
+    """
+    classes = rows + cols
+    masses = np.array([x.mass for x in classes])
+    mass_a, mass_b = masses[:len(rows), None], masses[None, len(rows):]
+    gap = np.abs(mass_a - mass_b)
+    atoms = [u for x in classes for u in x.atoms]
+    if not atoms:
+        return gap
+    owner = np.repeat(np.arange(len(classes)), [len(x.atoms) for x in classes])
+    weights = np.concatenate([x.weights for x in classes])
+    if atoms[0].level == 0:
+        points, span = np.array([u.feature for u in atoms]).reshape(len(atoms), -1), 0
+    else:
+        points = np.array([u.mass for u in atoms])[:, None]
+        span = max(len(u.atoms) for u in atoms)
+    # +1 where the row class is the lighter one, -1 where the column class is
+    sign = np.where(mass_a <= mass_b, 1.0, -1.0)
+    excess = np.zeros(gap.shape)
+    for line in points.T:
+        grid = np.unique(line)
+        g = len(grid)
+        table = np.bincount(owner * g + np.searchsorted(grid, line), weights, len(classes) * g)
+        table = table.reshape(len(classes), g)[:, :-1].cumsum(axis=1)
+        table_a, table_b = table[:len(rows)], table[len(rows):]
+        widths = np.diff(grid)
+        for r in range(len(rows)):
+            ahead = (table_a[r] - table_b) * sign[r][:, None]
+            integrand = np.maximum(np.maximum(ahead, -gap[r][:, None] - ahead), 0.0)
+            np.maximum(excess[r], integrand @ widths, out=excess[r])
+    allowance = (mass_a + mass_b) * (_LINE_RTOL * float(np.abs(points).max()) + span * STRUCT_TOL)
+    return gap + np.maximum(excess - allowance, 0.0)
+
+
 def _class_transport(atoms_a, weights_a, atoms_b, weights_b, memo) -> float:
     """Unbalanced transport between two measures on hash-consed classes.
 
@@ -146,12 +212,15 @@ def _class_transport(atoms_a, weights_a, atoms_b, weights_b, memo) -> float:
     side are distinct classes.
 
     Level-0 costs go in exact. Above level 0, a cell not memoized (nor x is
-    y) is the lower bound d(x.parent, y.parent) + |m_x - m_y|, with the masses
-    summed as transport_cost does, without the gap if x and y hold the same
-    classes (the shortcut may give 0.0): a transport is fl(dot + gap) >= gap,
-    and rounding is monotone. Every cell is at most the largest reach on side
-    a plus the largest on side b. A matrix with no bound in it is solved
-    dense, which is faster and gives the same bits.
+    y) is the lower bound d(x.parent, y.parent) + (|m_x - m_y| + line), with
+    the masses summed as transport_cost does and line the 1-D partial
+    transport bound of _line_bound, computed for all such cells at once;
+    the sum in parentheses is left out if x and y hold the same classes (the
+    shortcut may give 0.0). Their transport is fl(dot + gap) with dot >=
+    line, and rounding is monotone. Every cell is at most the largest reach
+    on side a plus the largest on side b. A matrix with no bound in it is
+    solved dense, which is faster and gives the same bits. Memo keys are
+    built from ids taken once per row and once per column.
     """
     on_b = dict(zip(atoms_b, weights_b))
     if len(on_b) == len(atoms_a) and all(
@@ -160,17 +229,25 @@ def _class_transport(atoms_a, weights_a, atoms_b, weights_b, memo) -> float:
         return 0.0
     cost = np.empty((len(atoms_a), len(atoms_b)))
     pending = np.zeros(cost.shape, dtype=bool)
+    spread = np.zeros(cost.shape, dtype=bool)
+    ids_b = [id(y) for y in atoms_b]
     for i, x in enumerate(atoms_a):
-        for j, y in enumerate(atoms_b):
-            value = 0.0 if x is y else memo.get((min(id(x), id(y)), max(id(x), id(y))))
+        id_x = id(x)
+        for j, (y, id_y) in enumerate(zip(atoms_b, ids_b)):
+            value = 0.0 if x is y else memo.get((id_x, id_y) if id_x <= id_y else (id_y, id_x))
             if value is None and x.level == 0:
                 value = _distance_memo(x, y, memo)
             elif value is None:
                 value = _distance_memo(x.parent, y.parent, memo)
-                if x.support != y.support:
-                    value += abs(x.mass - y.mass)
+                spread[i, j] = x.support != y.support
                 pending[i, j] = True
             cost[i, j] = value
+    if spread.any():
+        rows = np.flatnonzero(spread.any(axis=1))
+        cols = np.flatnonzero(spread.any(axis=0))
+        block = np.ix_(rows, cols)
+        bound = _line_bound([atoms_a[i] for i in rows], [atoms_b[j] for j in cols])
+        cost[block] = np.where(spread[block], cost[block] + bound, cost[block])
     upper = max((x.reach for x in atoms_a), default=0.0)
     upper += max((y.reach for y in atoms_b), default=0.0)
     return transport_cost(

@@ -294,7 +294,9 @@ def test_generator_spec_with_unknown_key_is_rejected(tmp_path):
     assert result.exit_code == 1
     assert "aggregaton" in result.output
     assert not out_path.exists()
-    cfg = config_from_dict({"kind": CONVERGENCE, "generators": [gen], "sizes": [4, 8]})
+    with pytest.raises(ValueError, match="aggregaton"):
+        config_from_dict({"kind": CONVERGENCE, "generators": [gen], "sizes": [4, 8]})
+    cfg = ExperimentConfig(kind=CONVERGENCE, generators=(gen,), sizes=(4, 8))
     with pytest.raises(ValueError, match="aggregaton"):
         run_experiment(cfg)
 
@@ -318,12 +320,45 @@ def test_model_with_unknown_key_is_rejected(tmp_path):
         )
         assert result.exit_code == 1, key
         assert "error:" in result.output and key in result.output
-        cfg = config_from_dict({
-            "kind": CONTINUITY, "generators": [ER_DENSE], "pairs": 1, "depth": 1,
-            "k_max": 1, "num_samples": 2, "model": model,
-        })
+        fields = {"kind": CONTINUITY, "generators": [ER_DENSE], "pairs": 1, "depth": 1,
+                  "k_max": 1, "num_samples": 2, "model": model}
+        with pytest.raises(ValueError, match=key):
+            config_from_dict(fields)
+        cfg = ExperimentConfig(**{**fields, "generators": (ER_DENSE,)})
         with pytest.raises(ValueError, match=key):
             run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"model": {"updates": 3, "lipschitz": True}}, "unknown model keys: \\['lipschitz'\\]"),
+        ({"models": [{"bogus": 1}]}, "unknown model keys: \\['bogus'\\]"),
+        ({"generators": [{"kind": "bogus"}]}, "kind must be one of .*, got 'bogus'"),
+        ({"generators": [{"kind": "erdos_renyi", "params": {"p": 0.5}}]},
+         "erdos_renyi n is required"),
+    ],
+    ids=["model", "models entry", "generator kind", "generator without n"],
+)
+def test_config_from_dict_reads_every_spec_and_model(bad, match, tmp_path):
+    """Generators and models are read when the config is, on the CLI path
+    too, and nothing is written; the config keeps the dicts as given."""
+    config = {"kind": FINENESS, "generators": [ER_DENSE], "pairs": 1, "depth": 1,
+              "k_max": 1, "num_samples": 2, **bad}
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        cli_main, ["experiment", "run", "--config", str(path), "--out", str(out)]
+    )
+    assert result.exit_code == 1 and result.output.startswith("error: ")
+    assert not out.exists()
+    gen = {"kind": "erdos_renyi", "params": {"p": 0.5}}
+    cfg = config_from_dict({"kind": CONVERGENCE, "generators": [gen], "sizes": [4, 8],
+                            "models": [zero_model_dict()]})
+    assert cfg.generators == (gen,) and cfg.models == (zero_model_dict(),)
 
 
 # -------------------------------------------------------------------- runners

@@ -27,7 +27,7 @@ from bofop.measures import (
     ot_unbalanced,
     transport_cost,
 )
-from bofop.operators import GeneratorSpec, generate
+from bofop.operators import GeneratorSpec, bofop_from_graph_dict, generate, generate_graph_dict
 from ot_oracle import enumerate_tree_costs, feasibility_floor, ot_oracle, transport_oracle
 
 TOL = 1e-9
@@ -593,6 +593,69 @@ def test_real_runs_match_the_frozen_reference(monkeypatch):
             cost = filled
         assert_matches_frozen(a, b, cost)
         assert value == frozen_value(a, b, cost)
+
+
+def count_lazy_work(monkeypatch):
+    """Bounded cells and reveals over the lazy transport_cost calls wl makes
+    from now on, and the times the lazy simplex's tolerance fallback fires."""
+    counts = {"bounded": 0, "revealed": 0, "fallback": 0}
+    solve = wl.transport_cost
+    reveal_all = measures._reveal_all
+
+    def spy(a, b, cost, pending=None, exact=None, upper=np.inf):
+        if pending is None:
+            return solve(a, b, cost, pending, exact, upper)
+        counts["bounded"] += int(np.count_nonzero(pending))
+
+        def counted(i, j):
+            counts["revealed"] += 1
+            return exact(i, j)
+
+        return solve(a, b, cost, pending, counted, upper)
+
+    def fallback(pending, reveal):
+        counts["fallback"] += 1
+        return reveal_all(pending, reveal)
+
+    monkeypatch.setattr(wl, "transport_cost", spy)
+    monkeypatch.setattr(measures, "_reveal_all", fallback)
+    return counts
+
+
+def relabelled_er24_pair(seed):
+    """The README's ER24 pair with each graph's vertex i renamed perm[i], one
+    permutation per graph from default_rng([seed, 2]), as the cli benchmark
+    writes its graph files."""
+    rng = np.random.default_rng([seed, 2])
+    graphs = []
+    for spec_seed in (7, 8):
+        graph = generate_graph_dict(GeneratorSpec(
+            "erdos_renyi", {"n": 24, "p": 0.3}, "normalized_sum",
+            {"mode": "uniform", "dim": 1}, spec_seed))
+        perm = rng.permutation(24)
+        features = np.empty((24, 1))
+        features[perm] = graph["features"]
+        edges = [[int(perm[i]), int(perm[j]), w] for i, j, w in graph["edges"]]
+        graphs.append(bofop_from_graph_dict(dict(graph, edges=edges, features=features.tolist())))
+    return graphs
+
+
+def test_line_bound_keeps_reveals_down(monkeypatch):
+    """The work of the lazy class transports, which repeats exactly. With the
+    mass gap alone as the bound, the fineness golden revealed 2,112 of its
+    6,144 bounded cells, and the README's ER24 pair at depth 1, in the cli
+    benchmark's vertex order at seed 0, 274 of 1,152 over both orientations.
+    The line bound must keep them at most 1,000 and 190, with no fallback."""
+    golden = pathlib.Path(__file__).parent / "golden" / "fineness.json"
+    counts = count_lazy_work(monkeypatch)
+    run_experiment(config_from_dict(json.loads(golden.read_text())["config"]))
+    assert counts["bounded"] == 6144 and counts["revealed"] <= 1000, counts
+    assert counts["fallback"] == 0
+    counts.update(bounded=0, revealed=0)
+    g_a, g_b = relabelled_er24_pair(0)
+    assert wl.didm_movers_distance(g_a, g_b, 1) == wl.didm_movers_distance(g_b, g_a, 1)
+    assert counts["bounded"] == 1152 and counts["revealed"] <= 190, counts
+    assert counts["fallback"] == 0
 
 
 # ------------------------------------------------------ frozen dense memo

@@ -190,6 +190,35 @@ def test_lazy_bound_omits_the_gap_where_the_shortcut_applies(monkeypatch):
     assert bounds.tolist() == [[1.5]] == [[idm_distance(x, y, 1)]]
 
 
+def test_line_bound_allows_for_the_shortcut(monkeypatch):
+    # u and v hold the same five atoms with weights 0.99e-12 apart, so their
+    # transport is exactly 0.0 and d(u, v) is their parents' 1.01e-12, while
+    # their masses differ by about 4.95e-12: a line bound on x over u and y
+    # over v that took the mass gap at face value would exceed d(x, y)
+    uni = IdmUniverse()
+    atoms = tuple(uni.cons_level0([float(k)]) for k in range(1, 6))
+    p1, p2 = uni.cons_level0([0.0]), uni.cons_level0([1.01e-12])
+    u = uni.cons(p1, atoms, [0.2] * 5)
+    v = uni.cons(p2, atoms, [0.2 + 0.99e-12] * 5)
+    assert u is not v and abs(u.mass - v.mass) > 4e-12
+    q = uni.cons(p1, atoms[:1], [1.0])
+    x, y = uni.cons(q, (u,), [1.0]), uni.cons(q, (v,), [1.0])
+    r = uni.cons(q, (x,), [1.0])
+    top_x, top_y = uni.cons(r, (x,), [1.0]), uni.cons(r, (y,), [1.0])
+    seen = []
+    solve = wl.transport_cost
+
+    def spy(a, b, cost, *lazy):
+        seen.append((np.array(cost), lazy[0].copy() if lazy else None))
+        return solve(a, b, cost, *lazy)
+
+    monkeypatch.setattr(wl, "transport_cost", spy)
+    distance = idm_distance(top_x, top_y, 3)
+    bounds, pending = seen[0]
+    assert pending.tolist() == [[True]]
+    assert bounds[0, 0] <= idm_distance(x, y, 2) == distance == 1.01e-12
+
+
 @st.composite
 def weighted_signals(draw):
     n = draw(st.integers(1, 6))
