@@ -60,17 +60,25 @@ class DiscreteMeasure:
         if atoms.shape[0]:
             order = np.lexsort(atoms.T[::-1])
             atoms = atoms[order]
-            weights = weights[order]
-            rep_atoms = [atoms[0]]
-            rep_weights = [weights[0]]
-            for i in range(1, atoms.shape[0]):
-                if np.max(np.abs(atoms[i] - rep_atoms[-1])) <= MERGE_TOL:
-                    rep_weights[-1] += weights[i]
+            # one pass over Python floats: the same subtractions, comparisons
+            # and left-to-right weight sums as per-atom numpy calls, so the
+            # same bits, without a numpy call per atom; an exact duplicate
+            # (row == first) merges without the per-coordinate test
+            rows = atoms.tolist()
+            mass = weights[order].tolist()
+            first = rows[0]
+            starts = [0]
+            sums = [mass[0]]
+            for i in range(1, len(rows)):
+                row = rows[i]
+                if row == first or all(abs(x - y) <= MERGE_TOL for x, y in zip(row, first)):
+                    sums[-1] += mass[i]
                 else:
-                    rep_atoms.append(atoms[i])
-                    rep_weights.append(weights[i])
-            atoms = np.array(rep_atoms)
-            weights = np.array(rep_weights)
+                    first = row
+                    starts.append(i)
+                    sums.append(mass[i])
+            atoms = atoms[starts]
+            weights = np.array(sums)
         atoms.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
@@ -98,28 +106,50 @@ def measures_equal(mu: DiscreteMeasure, nu: DiscreteMeasure, weight_tol=TOL) -> 
         return True
     # atoms that nearly tie on the sort key can come out of lexsort in either
     # order, so positional comparison alone has false negatives; fall back to
-    # an explicit matching, which stays sound because every accepted pair is
-    # checked against both tolerances. A matching within a tolerance exists
-    # only if the sorted values of each coordinate, and the sorted weights,
-    # agree within it, so that cheap test rejects most pairs first.
+    # a perfect matching of atoms that agree within both tolerances. One
+    # exists only if the sorted values of each coordinate, and the sorted
+    # weights, agree within them, so that cheap test rejects most pairs first.
     if np.any(
         np.abs(np.sort(mu.atoms, axis=0) - np.sort(nu.atoms, axis=0)) > MERGE_TOL
     ) or np.any(np.abs(np.sort(mu.weights) - np.sort(nu.weights)) > weight_tol):
         return False
-    used = np.zeros(nu.n_atoms, dtype=bool)
-    for i in range(mu.n_atoms):
-        hit = -1
-        for j in range(nu.n_atoms):
-            if (
-                not used[j]
-                and np.max(np.abs(mu.atoms[i] - nu.atoms[j])) <= MERGE_TOL
-                and abs(mu.weights[i] - nu.weights[j]) <= weight_tol
-            ):
-                hit = j
-                break
-        if hit < 0:
+    partners = [
+        np.flatnonzero(
+            (np.abs(nu.atoms - atom).max(axis=1) <= MERGE_TOL)
+            & (np.abs(nu.weights - weight) <= weight_tol)
+        ).tolist()
+        for atom, weight in zip(mu.atoms, mu.weights)
+    ]
+    return _has_perfect_matching(partners, nu.n_atoms)
+
+
+def _has_perfect_matching(partners, n) -> bool:
+    """Whether every left node i gets its own right node from partners[i]
+    (n right nodes): augmenting paths found breadth first (Kuhn's method)."""
+    left_of = [-1] * n
+    right_of = [-1] * len(partners)
+    for start in range(len(partners)):
+        # every right node reachable from start by alternating paths
+        reached_from = {}
+        frontier = [start]
+        while frontier:
+            following = []
+            for i in frontier:
+                for j in partners[i]:
+                    if j not in reached_from:
+                        reached_from[j] = i
+                        if left_of[j] >= 0:
+                            following.append(left_of[j])
+            frontier = following
+        free = [j for j in reached_from if left_of[j] < 0]
+        if not free:
             return False
-        used[hit] = True
+        # flip the path to a free right node: each left node on it moves to
+        # the right node it reached
+        j = free[0]
+        while j >= 0:
+            i = reached_from[j]
+            left_of[j], right_of[i], j = i, j, right_of[i]
     return True
 
 
@@ -435,7 +465,11 @@ def transport_cost(a, b, cost, pending=None, exact=None, upper=np.inf) -> float:
     if mass_a == 0.0 or mass_b == 0.0:
         return penalty
     supply, demand, balanced = _balanced_problem(a, b, cost, mass_a, mass_b)
-    if pending is None:
+    if pending is None and 1 in balanced.shape:
+        # one row or one column: every cell is basic in the one feasible
+        # basis, so the simplex would find no entering cell
+        rows, cols, flows = map(np.array, _least_cost_basis(supply, demand, balanced))
+    elif pending is None:
         rows, cols, flows, _, _ = _transport_simplex(supply, demand, balanced)
     else:
         # each balanced cell's flat index in cost, plus one where it is pending

@@ -116,8 +116,12 @@ def sample_k_profile(signal: FiniteBofopSignal, k: int, count: int, seed=0) -> P
         raise ValueError("need count >= 1")
     if k < 0:
         raise ValueError("order k must be >= 0")
+    return _sample_with_colors(signal, color_refinement_ids(signal), k, count, seed)
+
+
+def _sample_with_colors(signal, colors, k, count, seed):
+    """sample_k_profile's draws, from the signal's refinement colors."""
     rng = np.random.default_rng(seed)
-    colors = color_refinement_ids(signal)
     n_colors = int(colors.max()) + 1
     members = []
     for index in range(count):
@@ -214,7 +218,8 @@ def action_metric_estimate(
     """Truncated sum over orders of 2^-k times the sampled profile distance.
 
     Both signals are sampled with the same per-order seed, so equal signals
-    give exactly zero. The reported tail bound covers the dropped orders:
+    give exactly zero; each signal's refinement colors are computed once and
+    serve every order. The reported tail bound covers the dropped orders:
     each order-k profile lives in a box of half-width c = max(1, r1, r2), so
     its set diameter is at most 2(2k + d)c.
     """
@@ -224,11 +229,13 @@ def action_metric_estimate(
         raise ValueError("k_max must be >= 0")
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    colors1 = color_refinement_ids(b1)
+    colors2 = color_refinement_ids(b2)
     per_k = []
     value = 0.0
     for k in range(k_max + 1):
-        s1 = sample_k_profile(b1, k, num_samples, seed=[seed, k])
-        s2 = sample_k_profile(b2, k, num_samples, seed=[seed, k])
+        s1 = _sample_with_colors(b1, colors1, k, num_samples, [seed, k])
+        s2 = _sample_with_colors(b2, colors2, k, num_samples, [seed, k])
         h = hausdorff_set_distance(s1.measures(), s2.measures())
         per_k.append(h)
         value += 2.0 ** (-k) * h

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial.distance import cdist
 
 import bofop.measures as measures_module
@@ -182,7 +184,9 @@ def test_canonicalize_merge_tolerance():
 
 
 def reference_canonical_form(atoms, weights):
-    """The sort-and-merge loop, kept apart from the package as its reference."""
+    """The sort-and-merge loop with one numpy comparison per atom, as the
+    constructor ran it before its merge moved to Python floats, kept apart
+    from the package as its reference."""
     keep = weights > 0.0
     atoms = atoms[keep]
     weights = weights[keep]
@@ -204,58 +208,88 @@ def reference_canonical_form(atoms, weights):
 
 @st.composite
 def raw_representations(draw):
-    """Atoms drawn from a few base points, shifted by exact zeros or by
-    near-ties on either side of MERGE_TOL, with zero and mixed-scale weights.
-    The shifts 0, 7e-13 and 1.4e-12 chain three atoms, each within MERGE_TOL
-    of the previous one but the last not within it of the first."""
+    """Atoms drawn from a few base points, -0.0 beside 0.0 among them,
+    shifted by exact zeros or by near-ties on either side of MERGE_TOL, with
+    zero and mixed-scale weights. A shift of None keeps the base value, so
+    -0.0 stays -0.0. The shifts 0, 7e-13 and 1.4e-12 chain three atoms, each
+    within MERGE_TOL of the previous one but the last not within it of the
+    first."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(0, 8))
-    coord = st.sampled_from([-1.0, 0.0, 0.3, 1.0])
+    coord = st.sampled_from([-1.0, -0.0, 0.0, 0.3, 1.0])
     bases = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=3))
-    shift = st.sampled_from([0.0, 5e-13, -5e-13, 7e-13, 1.4e-12, 2e-12, -2e-12])
-    atoms = [[x + draw(shift) for x in draw(st.sampled_from(bases))] for _ in range(n)]
+    shift = st.sampled_from([None, 0.0, 5e-13, -5e-13, 1e-12, 7e-13, 1.4e-12, 2e-12, -2e-12])
+
+    def moved(x):
+        s = draw(shift)
+        return x if s is None else x + s
+
+    atoms = [[moved(x) for x in draw(st.sampled_from(bases))] for _ in range(n)]
     weight = st.one_of(st.just(0.0), st.floats(1e-9, 3.0), st.sampled_from([0.1, 0.2, 0.7]))
     weights = [draw(weight) for _ in range(n)]
     return d, np.array(atoms, dtype=float).reshape(n, d), np.array(weights, dtype=float)
 
 
-@settings(max_examples=300, deadline=None)
-@given(raw_representations())
-def test_construction_stores_the_canonical_form_bit_for_bit(raw):
-    d, atoms, weights = raw
-    mu = DiscreteMeasure(d, atoms, weights)
-    ref_atoms, ref_weights = reference_canonical_form(atoms, weights)
-    assert np.array_equal(mu.atoms, ref_atoms)
-    assert np.array_equal(mu.weights, ref_weights)
-    again = DiscreteMeasure(d, mu.atoms, mu.weights)
-    assert np.array_equal(again.atoms, mu.atoms)
-    assert np.array_equal(again.weights, mu.weights)
+def merge_cases(atoms, weights):
+    """Which of the merge rule's cases a representation reaches, read off the
+    sorted atoms of positive weight."""
+    cases = set()
+    if np.any(weights == 0.0):
+        cases.add("zero weight")
+    atoms = atoms[weights > 0.0]
+    zero = atoms == 0.0
+    if np.any((zero & np.signbit(atoms)).any(axis=0) & (zero & ~np.signbit(atoms)).any(axis=0)):
+        cases.add("-0.0 beside 0.0")
+    atoms = atoms[np.lexsort(atoms.T[::-1])]
+    first = 0
+    for i in range(1, len(atoms)):
+        to_first = np.max(np.abs(atoms[i] - atoms[first]))
+        to_previous = np.max(np.abs(atoms[i] - atoms[i - 1]))
+        if to_first == 0.0:
+            cases.add("exact duplicate")
+        elif to_first <= MERGE_TOL:
+            cases.add("gap at most MERGE_TOL")
+        else:
+            if to_previous <= MERGE_TOL:
+                cases.add("chain")
+            first = i
+    return cases
+
+
+def test_construction_stores_the_canonical_form_bit_for_bit():
+    """The constructor against the frozen per-atom loop, bit for bit and
+    sign of zero included, on derandomized draws that reach every case of
+    the merge rule."""
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(raw_representations())
+    def search(raw):
+        d, atoms, weights = raw
+        mu = DiscreteMeasure(d, atoms, weights)
+        ref_atoms, ref_weights = reference_canonical_form(atoms, weights)
+        assert np.array_equal(mu.atoms, ref_atoms)
+        assert np.array_equal(np.signbit(mu.atoms), np.signbit(ref_atoms))
+        assert np.array_equal(mu.weights, ref_weights)
+        again = DiscreteMeasure(d, mu.atoms, mu.weights)
+        assert np.array_equal(again.atoms, mu.atoms)
+        assert np.array_equal(again.weights, mu.weights)
+        seen.update(merge_cases(atoms, weights))
+
+    search()
+    assert seen == {"zero weight", "-0.0 beside 0.0", "exact duplicate",
+                    "gap at most MERGE_TOL", "chain"}
 
 
 def reference_measures_equal(mu, nu, weight_tol):
-    """Positional comparison, then the greedy matching, with no prefilter."""
+    """Whether a perfect matching pairs atoms that agree within both
+    tolerances: scipy's maximum bipartite matching, with no prefilter."""
     if mu.ambient_dim != nu.ambient_dim or mu.n_atoms != nu.n_atoms:
         return False
-    if np.all(np.abs(mu.atoms - nu.atoms) <= MERGE_TOL) and np.all(
-        np.abs(mu.weights - nu.weights) <= weight_tol
-    ):
-        return True
-    used = np.zeros(nu.n_atoms, dtype=bool)
-    for i in range(mu.n_atoms):
-        hit = next(
-            (
-                j
-                for j in range(nu.n_atoms)
-                if not used[j]
-                and np.max(np.abs(mu.atoms[i] - nu.atoms[j])) <= MERGE_TOL
-                and abs(mu.weights[i] - nu.weights[j]) <= weight_tol
-            ),
-            -1,
-        )
-        if hit < 0:
-            return False
-        used[hit] = True
-    return True
+    close = (np.abs(mu.atoms[:, None, :] - nu.atoms[None, :, :]).max(axis=2, initial=0.0)
+             <= MERGE_TOL) & (np.abs(mu.weights[:, None] - nu.weights[None, :]) <= weight_tol)
+    matched = maximum_bipartite_matching(csr_array(close.astype(np.int8)), perm_type="column")
+    return bool(np.all(matched >= 0))
 
 
 @st.composite
@@ -282,6 +316,18 @@ def test_measures_equal_matches_the_plain_matching(pair):
     for tol in (MERGE_TOL, TOL):
         assert measures_equal(mu, nu, tol) == reference_measures_equal(mu, nu, tol)
         assert measures_equal(nu, mu, tol) == reference_measures_equal(nu, mu, tol)
+
+
+def test_measures_equal_finds_a_matching_that_greedy_misses():
+    # in sorted order the first atom of mu is within MERGE_TOL of both atoms
+    # of nu; taking the first hit, (0, 0), leaves the second atom of mu with
+    # no partner, while the crossed matching pairs both
+    t = MERGE_TOL
+    mu = DiscreteMeasure(2, [[0.2 * t, 0.9 * t], [0.6 * t, -0.2 * t]], [0.5, 0.5])
+    nu = DiscreteMeasure(2, [[0.0, 0.0], [0.5 * t, 1.8 * t]], [0.5, 0.5])
+    assert measures_equal(mu, nu)
+    assert measures_equal(nu, mu)
+    assert ot_unbalanced(mu, nu, GROUND_L1) == 0.0
 
 
 def test_measures_equal_is_representation_free():

@@ -383,6 +383,25 @@ def test_action_metric_zero_for_identical_and_permuted():
     assert est.value <= TOL
 
 
+@pytest.mark.parametrize("k_max", [0, 2, 4])
+def test_action_metric_refines_colors_once_per_signal(monkeypatch, k_max):
+    refined = []
+
+    def counting(signal, rounds=None):
+        refined.append(signal)
+        return color_refinement_ids(signal, rounds)
+
+    monkeypatch.setattr(profiles_module, "color_refinement_ids", counting)
+    est = action_metric_estimate(K2, TWO_K1, k_max=k_max, num_samples=3, seed=1)
+    assert refined == [K2, TWO_K1]
+    monkeypatch.undo()
+    # the same values as sampling each order with sample_k_profile
+    for k, h in enumerate(est.per_k):
+        s1 = sample_k_profile(K2, k, 3, seed=[1, k]).measures()
+        s2 = sample_k_profile(TWO_K1, k, 3, seed=[1, k]).measures()
+        assert h == hausdorff_set_distance(s1, s2)
+
+
 def test_action_metric_separates_k2_from_2k1():
     est = action_metric_estimate(K2, TWO_K1, k_max=1, num_samples=8, seed=3)
     assert est.per_k[0] <= TOL

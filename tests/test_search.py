@@ -13,6 +13,7 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from bofop import wl
+from bofop.measures import GROUND_L1, DiscreteMeasure, _projected_lower_bound, ot_unbalanced
 from bofop.mpnn import forward_bofop, lipschitz_certificate, random_model
 from bofop.operators import AGGREGATIONS, from_graph, infty_norm
 from bofop.wl import didm_movers_distance, idm_distance
@@ -135,3 +136,67 @@ def test_lazy_bound_is_at_most_every_cost(monkeypatch):
     print(f"[acceptance] lazy-bound search: PASS (400 derandomized examples, "
           f"{counts[0]} bounded cells, {counts[1]} with a line term; worst "
           f"(bound - exact) / (x.reach + y.reach) {worst[0]:.3e} <= 0)")
+
+
+@st.composite
+def near_tied_measures(draw):
+    """Two measures on 1 to 5 atoms each in dimension 1 to 3. Coordinates
+    sit within NEAR of a shared value or anywhere in [-1, 1]; the second
+    measure may place atoms within NEAR of the first one's; weights sit near
+    1/2 or anywhere in [0.01, 1], so total masses tie or nearly tie."""
+    d = draw(st.integers(1, 3))
+    base = draw(st.sampled_from((0.0, 0.25, 1.0)))
+    offset = st.sampled_from(NEAR) | st.sampled_from(NEAR).map(lambda x: -x)
+    coord = offset.map(lambda x: base + x) | UNIT
+    weight = st.sampled_from((0.5, 0.5 + 1e-13, 0.5 - 1e-12)) | st.floats(0.01, 1.0)
+    first = []
+    pair = []
+    for _ in range(2):
+        n = draw(st.integers(1, 5))
+        atoms = []
+        for _ in range(n):
+            if first and draw(st.booleans()):
+                atoms.append([x + draw(offset) for x in draw(st.sampled_from(first))])
+            else:
+                atoms.append([draw(coord) for _ in range(d)])
+        first = first or atoms
+        weights = draw(st.lists(weight, min_size=n, max_size=n))
+        pair.append(DiscreteMeasure(d, np.array(atoms), weights))
+    return pair
+
+
+def test_projected_bound_is_at_most_the_transport_cost():
+    """The Hausdorff scan's pruning bound, _projected_lower_bound(a, b), is at
+    most ot_unbalanced(a, b) under L1, in both orientations. The search
+    steers toward the largest (bound - cost) / scale, scale being the total
+    mass times the coordinate reach of both supports, the unit of the
+    bound's rounding allowance, which is the part at risk. Only pairs whose
+    bound exceeds the mass gap are steered on: elsewhere the bound is the
+    gap, which every transport pays."""
+    worst = [-np.inf]
+    counts = [0, 0]
+
+    @SEARCH
+    @given(near_tied_measures())
+    def search(pair):
+        a, b = pair
+        points = np.concatenate([a.atoms, b.atoms])
+        scale = (a.total_mass + b.total_mass) * float(np.abs(points).max(axis=0).sum())
+        mass_gap = abs(a.total_mass - b.total_mass)
+        margin = -np.inf
+        for x, y in ((a, b), (b, a)):
+            bound = _projected_lower_bound(x, y)
+            cost = ot_unbalanced(x, y, GROUND_L1)
+            assert bound <= cost, (x.atoms, x.weights, y.atoms, y.weights, bound, cost)
+            counts[0] += 1
+            if bound > mass_gap:
+                counts[1] += 1
+                margin = max(margin, (bound - cost) / scale)
+        if margin > -np.inf:
+            target(margin, label="(projected bound - transport cost) / scale")
+            worst[0] = max(worst[0], margin)
+
+    search()
+    print(f"[acceptance] projected-bound search: PASS (400 derandomized examples, "
+          f"{counts[0]} bounds, {counts[1]} above the mass gap; worst "
+          f"(bound - cost) / scale {worst[0]:.3e} <= 0)")

@@ -488,6 +488,40 @@ def frozen_value(a, b, cost):
     return float(flows @ balanced[rows, cols]) + abs(float(a.sum()) - float(b.sum()))
 
 
+def test_one_row_or_column_skips_the_simplex():
+    """A balanced problem with one row or one column has one feasible basis,
+    every cell, so transport_cost takes the least-cost start as the answer:
+    bit for bit the frozen simplex's value, without a simplex call."""
+    solves = []
+    simplex = measures._transport_simplex
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return simplex(*args, **kwargs)
+
+    shapes = {"skipped": 0, "solved": 0}
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(positive_mass_problems(), st.booleans())
+    def search(problem, single_row):
+        a, b, cost = problem
+        if single_row:
+            a, cost = a[:1], cost[:1]
+        else:
+            b, cost = b[:1], cost[:, :1]
+        solves.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "_transport_simplex", counting)
+            value = transport_cost(a, b, cost)
+        skipped = 1 in _balanced_problem(a, b, cost)[2].shape
+        assert len(solves) == (0 if skipped else 1)
+        shapes["skipped" if skipped else "solved"] += 1
+        assert value == frozen_value(a, b, cost)
+
+    search()
+    assert shapes["skipped"] >= 25 and shapes["solved"] >= 25, shapes
+
+
 @settings(max_examples=300, deadline=None)
 @given(positive_mass_problems(), st.data())
 def test_lazy_costs_match_the_dense_solve(problem, data):
