@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import transport_cost
+from .measures import _BOUND_RTOL, partial_transport_excess, transport_cost
 from .operators import FiniteBofopSignal
 
 STRUCT_TOL = 1e-12
@@ -141,66 +141,41 @@ def compute_idms(signal: FiniteBofopSignal, depth: int, universe: IdmUniverse | 
     return Didm(depth, tuple(current), signal.vertex_weights)
 
 
-# The line bound gives up this fraction of its scale, the two class masses
-# times the largest projected coordinate, to cover rounding: in the cumulative
-# sums and grid widths here, in the flows of the exact solve, whose marginals
-# agree only up to their last bits, and in the level-0 cost, a rounded square
-# root of rounded squares that may lie a few ulps below one coordinate's
-# difference. Each is a few ulps per term, far below this fraction at any size
-# that runs. Atom classes above level 0 give up STRUCT_TOL per atom of theirs
-# on top, per unit of mass shipped: two on the same classes with weights
-# within STRUCT_TOL transport at 0.0 while their masses differ by up to that
-# many STRUCT_TOL, so there |m_u - m_v| bounds their distance only up to it.
-_LINE_RTOL = 1e-12
-
-
 def _line_bound(rows, cols):
     """Lower bounds on the transports between the level measures of each row
     class x and column class y, both above level 0 and on different classes:
-    their mass gap plus a 1-D partial transport bound (Bonneel and
-    Coeurjolly, SIGGRAPH 2019).
+    their mass gap plus the largest coordinate's partial_transport_excess,
+    less an allowance and never below 0.
 
     Each atom goes to a point on the line: its mass above level 0, as
     d(u, v) >= |m_u - m_v| (a transport pays at least its mass gap), and
     each feature coordinate at level 0, as the l2 cost is at least
-    |f_u,k - f_v,k|. The lighter measure mu ships into a sub-measure of the
-    heavier nu, whose cumulative weight lies between F_nu - gap and F_nu, so
-    the transport costs at least the integral of
-    max(0, F_mu - F_nu, F_nu - gap - F_mu) over the line: at level 0 the
-    largest coordinate's, less _LINE_RTOL's allowance, and never below 0.
-    One table of cumulative weights on the grid of distinct points serves
-    both sides, then one array pass per row. An empty fiber has F = 0.
+    |f_u,k - f_v,k|. The allowance is _BOUND_RTOL of the two class masses
+    times the largest projected coordinate, for rounding: in the cumulative
+    sums and grid widths, in the flows of the exact solve, whose marginals
+    agree only up to their last bits, and in the level-0 cost, a rounded
+    square root of rounded squares that may lie a few ulps below one
+    coordinate's difference. Each is a few ulps per term, far below this
+    fraction at any size that runs. Atom classes above level 0 give up
+    STRUCT_TOL per atom of theirs on top, per unit of mass shipped: two on
+    the same classes with weights within STRUCT_TOL transport at 0.0 while
+    their masses differ by up to that many STRUCT_TOL, so there
+    |m_u - m_v| bounds their distance only up to it.
     """
     classes = rows + cols
-    masses = np.array([x.mass for x in classes])
-    mass_a, mass_b = masses[:len(rows), None], masses[None, len(rows):]
-    gap = np.abs(mass_a - mass_b)
     atoms = [u for x in classes for u in x.atoms]
-    if not atoms:
-        return gap
-    owner = np.repeat(np.arange(len(classes)), [len(x.atoms) for x in classes])
-    weights = np.concatenate([x.weights for x in classes])
-    if atoms[0].level == 0:
+    if atoms and atoms[0].level == 0:
         points, span = np.array([u.feature for u in atoms]).reshape(len(atoms), -1), 0
     else:
-        points = np.array([u.mass for u in atoms])[:, None]
-        span = max(len(u.atoms) for u in atoms)
-    # +1 where the row class is the lighter one, -1 where the column class is
-    sign = np.where(mass_a <= mass_b, 1.0, -1.0)
-    excess = np.zeros(gap.shape)
-    for line in points.T:
-        grid = np.unique(line)
-        g = len(grid)
-        table = np.bincount(owner * g + np.searchsorted(grid, line), weights, len(classes) * g)
-        table = table.reshape(len(classes), g)[:, :-1].cumsum(axis=1)
-        table_a, table_b = table[:len(rows)], table[len(rows):]
-        widths = np.diff(grid)
-        for r in range(len(rows)):
-            ahead = (table_a[r] - table_b) * sign[r][:, None]
-            integrand = np.maximum(np.maximum(ahead, -gap[r][:, None] - ahead), 0.0)
-            np.maximum(excess[r], integrand @ widths, out=excess[r])
-    allowance = (mass_a + mass_b) * (_LINE_RTOL * float(np.abs(points).max()) + span * STRUCT_TOL)
-    return gap + np.maximum(excess - allowance, 0.0)
+        points = np.array([u.mass for u in atoms]).reshape(len(atoms), 1)
+        span = max((len(u.atoms) for u in atoms), default=0)
+    masses = np.array([x.mass for x in classes])
+    gap, excess = partial_transport_excess(
+        points, np.concatenate([x.weights for x in classes]),
+        np.repeat(np.arange(len(classes)), [len(x.atoms) for x in classes]), masses, len(rows))
+    scale = masses[:len(rows), None] + masses[None, len(rows):]
+    allowance = scale * (_BOUND_RTOL * float(np.abs(points).max(initial=0.0)) + span * STRUCT_TOL)
+    return gap + np.maximum(excess.max(axis=0, initial=0.0) - allowance, 0.0)
 
 
 def _class_transport(atoms_a, weights_a, atoms_b, weights_b, memo) -> float:

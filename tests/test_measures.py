@@ -13,10 +13,10 @@ from bofop.measures import (
     DiscreteMeasure,
     GroundMetric,
     MERGE_TOL,
+    _bound_table,
     hausdorff_set_distance,
     measures_equal,
     ot_unbalanced,
-    _projected_lower_bound,
     transport_cost,
 )
 from measure_helpers import dirac, kr_lower_bound, pushforward_measure
@@ -599,13 +599,18 @@ def related_pairs(draw, d=None):
     return draw(related_measures(d, quarters)), draw(related_measures(d, quarters))
 
 
+def bound(a, b):
+    """The Hausdorff scan's pruning bound on the pair, from the shared table."""
+    return _bound_table([a], [b])[0, 0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(related_pairs())
 def test_projected_bound_never_exceeds_transport(pair):
     mu, nu = pair
     value = ot_unbalanced(mu, nu, GROUND_L1)
-    assert _projected_lower_bound(mu, nu) <= value * (1 + 1e-12)
-    assert _projected_lower_bound(nu, mu) <= value * (1 + 1e-12)
+    assert bound(mu, nu) <= value * (1 + 1e-12)
+    assert bound(nu, mu) <= value * (1 + 1e-12)
 
 
 def test_projected_bound_allows_for_cancelling_sums():
@@ -615,22 +620,23 @@ def test_projected_bound_allows_for_cancelling_sums():
     nu = DiscreteMeasure(1, [[0.0], [5.0]], [0.3, 1.0])
     value = ot_unbalanced(mu, nu, GROUND_L1)
     assert value == pytest.approx(2e-11, rel=1e-6)
-    assert _projected_lower_bound(mu, nu) <= value
+    assert bound(mu, nu) <= value
 
 
 def test_projected_bound_matches_the_gap_shortcut():
     # atoms within MERGE_TOL are the same measure to ot_unbalanced; near the
-    # origin the rounding allowance is far smaller than their distance
+    # origin the rounding allowance is far smaller than their distance, so
+    # the excess (5e-13) lies in the equality band and the test decides
     mu = DiscreteMeasure(2, [[0.0, 0.0], [0.0, 1e-9]], [0.5, 0.5])
     nu = DiscreteMeasure(2, [[5e-13, 0.0], [-5e-13, 1e-9]], [0.5, 0.5 + 1e-13])
     gap = abs(mu.total_mass - nu.total_mass)
     assert ot_unbalanced(mu, nu, GROUND_L1) == gap
-    assert _projected_lower_bound(mu, nu) == gap
+    assert bound(mu, nu) == gap
     # an empty side ships nothing: the value is the mass gap
     empty = DiscreteMeasure(2, np.zeros((0, 2)), [])
-    assert _projected_lower_bound(empty, empty) == 0.0
-    assert _projected_lower_bound(empty, nu) == nu.total_mass
-    assert _projected_lower_bound(mu, empty) == mu.total_mass
+    assert bound(empty, empty) == 0.0
+    assert bound(empty, nu) == nu.total_mass
+    assert bound(mu, empty) == mu.total_mass
 
 
 @settings(max_examples=100, deadline=None)
@@ -641,6 +647,6 @@ def test_projected_bound_is_tight_on_the_line(pair):
     # of its scale, total mass (<= 4) times coordinate reach (<= 2)
     mu, nu = pair
     assume(mu.total_mass == nu.total_mass)
-    assert _projected_lower_bound(mu, nu) == pytest.approx(
+    assert bound(mu, nu) == pytest.approx(
         ot_unbalanced(mu, nu, GROUND_L1), rel=1e-9, abs=1e-11
     )

@@ -434,18 +434,23 @@ def test_shared_member_cannot_increase_set_distance():
     assert grown <= base + TOL
 
 
-def test_projected_bound_prunes_the_readme_er24_scan(monkeypatch):
+@pytest.mark.parametrize("samples, size, solves, value", [
+    (64, 62, 135, "0x1.73221f1ee8e3ap-1"),
+    (12, 12, 24, "0x1.71bb5218b1a74p-1"),
+], ids=["samples64", "samples12"])
+def test_projected_bound_prunes_the_readme_er24_scan(monkeypatch, samples, size, solves, value):
     # the k = 2 profile sets that action_metric_estimate(a, b, k_max=3) draws
     # for the README's ER24 pair: 62 x 62 candidate pairs. The old mean-based
     # bound solved 2,878 of them; the projected bound needs 135. A weaker
-    # bound or prune rule solves more and fails here.
+    # bound or prune rule solves more and fails here. At the cli benchmark's
+    # 12 samples the sets are 12 x 12 and the scan solves 24.
     def er24(seed):
         return generate(GeneratorSpec("erdos_renyi", {"n": 24, "p": 0.3},
                                       aggregation="normalized_sum",
                                       features={"mode": "uniform", "dim": 1}, seed=seed))
 
-    s1 = sample_k_profile(er24(7), 2, 64, seed=[0, 2]).measures()
-    s2 = sample_k_profile(er24(8), 2, 64, seed=[0, 2]).measures()
+    s1 = sample_k_profile(er24(7), 2, samples, seed=[0, 2]).measures()
+    s2 = sample_k_profile(er24(8), 2, samples, seed=[0, 2]).measures()
     solved = []
     exact = measures_module.ot_unbalanced
 
@@ -454,7 +459,7 @@ def test_projected_bound_prunes_the_readme_er24_scan(monkeypatch):
         return exact(mu, nu, ground)
 
     monkeypatch.setattr(measures_module, "ot_unbalanced", counting)
-    value = hausdorff_set_distance(s1, s2)
-    assert (len(s1), len(s2)) == (62, 62)
-    assert len(solved) == 135
-    assert value.hex() == "0x1.73221f1ee8e3ap-1"
+    distance = hausdorff_set_distance(s1, s2)
+    assert (len(s1), len(s2)) == (size, size)
+    assert len(solved) == solves
+    assert distance.hex() == value

@@ -13,7 +13,7 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from bofop import wl
-from bofop.measures import GROUND_L1, DiscreteMeasure, _projected_lower_bound, ot_unbalanced
+from bofop.measures import GROUND_L1, DiscreteMeasure, _bound_table, ot_unbalanced
 from bofop.mpnn import forward_bofop, lipschitz_certificate, random_model
 from bofop.operators import AGGREGATIONS, from_graph, infty_norm
 from bofop.wl import didm_movers_distance, idm_distance
@@ -138,6 +138,44 @@ def test_lazy_bound_is_at_most_every_cost(monkeypatch):
           f"(bound - exact) / (x.reach + y.reach) {worst[0]:.3e} <= 0)")
 
 
+def test_distance_is_at_most_the_reach_sum():
+    """Two classes of one level lie at most x.reach + y.reach apart, the
+    upper bound the lazy class transport passes for every cost it may reveal
+    (a reveal above it raises). Checked on every pair of one class from each
+    signal at every level, at depths 2 and 3 in feature dimensions 1 and 2;
+    the search steers toward the largest d(x, y) / (x.reach + y.reach)."""
+    worst = [0.0]
+    counts = [0]
+
+    @SEARCH
+    @given(st.data(), st.integers(1, 2), st.integers(2, 3))
+    def search(data, d, depth):
+        a, b = data.draw(near_tied_signals(d)), data.draw(near_tied_signals(d))
+        uni, memo = wl.IdmUniverse(), {}
+        sides = []
+        for signal in (a, b):
+            sides.append([set(wl.compute_idms(signal, depth, uni).node_idms)])
+            while len(sides[-1]) <= depth:
+                sides[-1].append({x.parent for x in sides[-1][-1]})
+        ratio = 0.0
+        for level_a, level_b in zip(*sides):
+            for x in level_a:
+                for y in level_b:
+                    distance = idm_distance(x, y, x.level, memo)
+                    counts[0] += 1
+                    if x.reach + y.reach == 0.0:
+                        assert distance == 0.0
+                        continue
+                    assert distance <= x.reach + y.reach, (x.level, distance, x.reach, y.reach)
+                    ratio = max(ratio, distance / (x.reach + y.reach))
+        target(ratio, label="d(x, y) / (x.reach + y.reach)")
+        worst[0] = max(worst[0], ratio)
+
+    search()
+    print(f"[acceptance] reach search: PASS (400 derandomized examples, {counts[0]} class "
+          f"pairs; worst d(x, y) / (x.reach + y.reach) {worst[0]:.12f} <= 1)")
+
+
 @st.composite
 def near_tied_measures(draw):
     """Two measures on 1 to 5 atoms each in dimension 1 to 3. Coordinates
@@ -166,7 +204,7 @@ def near_tied_measures(draw):
 
 
 def test_projected_bound_is_at_most_the_transport_cost():
-    """The Hausdorff scan's pruning bound, _projected_lower_bound(a, b), is at
+    """The Hausdorff scan's pruning bound, _bound_table([a], [b]), is at
     most ot_unbalanced(a, b) under L1, in both orientations. The search
     steers toward the largest (bound - cost) / scale, scale being the total
     mass times the coordinate reach of both supports, the unit of the
@@ -185,7 +223,7 @@ def test_projected_bound_is_at_most_the_transport_cost():
         mass_gap = abs(a.total_mass - b.total_mass)
         margin = -np.inf
         for x, y in ((a, b), (b, a)):
-            bound = _projected_lower_bound(x, y)
+            bound = _bound_table([x], [y])[0, 0]
             cost = ot_unbalanced(x, y, GROUND_L1)
             assert bound <= cost, (x.atoms, x.weights, y.atoms, y.weights, bound, cost)
             counts[0] += 1
